@@ -217,8 +217,8 @@ int main(int argc, char** argv) {
     std::vector<int> predictions;
   };
   EncodePathResult encode_results[] = {
-      {"materialized", hdc::EncodePath::kMaterialized},
-      {"rematerialized", hdc::EncodePath::kRematerialized},
+      {"materialized", hdc::EncodePath::kMaterialized, 0.0, 0.0, {}},
+      {"rematerialized", hdc::EncodePath::kRematerialized, 0.0, 0.0, {}},
   };
   for (auto& r : encode_results) {
     const hdc::QueryBatch batch(raw, encoder, r.path);

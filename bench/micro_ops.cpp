@@ -1,7 +1,9 @@
 // Micro benchmarks (google-benchmark) for the primitive operations every
-// experiment rests on: binding (XOR), Hamming similarity (popcount),
-// bit-sliced vs naive majority bundling, record encoding, single-query
-// inference, and one LeHDC optimizer step.
+// experiment rests on: binding (XOR), Hamming similarity (popcount), the
+// fused bind + Harley–Seal bundle kernel (per instruction-set tier) vs
+// naive majority counters, record encoding, single-query inference, and one
+// LeHDC optimizer step. The run context names the tier the library selects
+// on this CPU ("kernel_tier").
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -13,7 +15,9 @@
 #include "hdc/encoder.hpp"
 #include "hv/bitslice.hpp"
 #include "hv/bitvector.hpp"
+#include "hv/generate.hpp"
 #include "hv/intvector.hpp"
+#include "hv/kernels.hpp"
 #include "nn/loss.hpp"
 #include "nn/matrix.hpp"
 #include "util/rng.hpp"
@@ -47,26 +51,50 @@ void BM_HammingPopcount(benchmark::State& state) {
 }
 BENCHMARK(BM_HammingPopcount)->Arg(2000)->Arg(10000);
 
-void BM_BundleBitSliced(benchmark::State& state) {
+void BM_BindBundleKernel(benchmark::State& state) {
+  // One record encode's worth of bundling (784 position rows bound to rows
+  // of a 32-level codebook, majority over the whole dimension) through one
+  // tier of the kernel table; arg 1 indexes supported_kernel_tiers(),
+  // fastest first.
   const auto dim = static_cast<std::size_t>(state.range(0));
+  const auto tiers = hv::supported_kernel_tiers();
+  const auto tier_index = static_cast<std::size_t>(state.range(1));
+  if (tier_index >= tiers.size()) {
+    state.SkipWithError("tier not supported on this CPU");
+    return;
+  }
+  const hv::KernelTier& tier = tiers[tier_index];
   const std::size_t count = 784;
+  const std::size_t words = (dim + 63) / 64;
   util::Rng rng(1);
-  std::vector<hv::BitVector> hvs;
+  const auto levels = hv::random_set(32, dim, rng);
+  const auto positions = hv::random_set(count, dim, rng);
+  // Position rows packed back to back, as the record cursor's scratch.
+  std::vector<std::uint64_t> pos(count * words);
+  std::vector<const std::uint64_t*> rows(count);
   for (std::size_t i = 0; i < count; ++i) {
-    hvs.push_back(hv::BitVector::random(dim, rng));
+    std::copy(positions[i].words().begin(), positions[i].words().end(),
+              pos.begin() + static_cast<std::ptrdiff_t>(i * words));
+    rows[i] = levels[rng.next_below(levels.size())].words().data();
   }
   const hv::BitVector tie_break = hv::BitVector::random(dim, rng);
+  hv::BitVector out(dim);
+  hv::BindBundleRange range;
+  range.pos = pos.data();
+  range.pos_stride = words;
+  range.rows = rows.data();
+  range.n = count;
+  range.words = words;
+  range.tie_break = tie_break.words().data();
   for (auto _ : state) {
-    hv::BitSliceAccumulator acc(dim);
-    for (const auto& hv : hvs) {
-      acc.add(hv);
-    }
-    benchmark::DoNotOptimize(acc.majority(tie_break));
+    tier.bind_bundle_majority(range, out.words().data());
+    benchmark::DoNotOptimize(out.words().data());
   }
+  state.SetLabel(tier.name);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<long>(dim * count));
 }
-BENCHMARK(BM_BundleBitSliced)->Arg(2000)->Arg(10000);
+BENCHMARK(BM_BindBundleKernel)->ArgsProduct({{2000, 10000}, {0, 1, 2}});
 
 void BM_BundleNaiveCounters(benchmark::State& state) {
   const auto dim = static_cast<std::size_t>(state.range(0));
@@ -238,4 +266,10 @@ BENCHMARK(BM_LeHdcEpoch)->Arg(2000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  benchmark::AddCustomContext("kernel_tier", lehdc::hv::kernel_tier().name);
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -438,9 +438,10 @@ int main(int argc, char** argv) {
   }
   if (run_burst) {
     std::printf(
-        "open-loop tcp burst:  %.0fx peaks every %dus, %zu reqs in %.2fs "
+        "open-loop tcp burst:  %.0fx peaks every %lldus, %zu reqs in %.2fs "
         "(ok=%zu rejected=%zu)\n",
-        burst_factor, flags.get_int("burst-period-us"), burst.sent,
+        burst_factor,
+        static_cast<long long>(flags.get_int("burst-period-us")), burst.sent,
         burst.elapsed_seconds, burst.ok, burst.rejected);
     std::printf(
         "  latency p50=%.2fms p99=%.2fms p99.9=%.2fms; peak depth %zu\n",

@@ -38,10 +38,10 @@ class RecordBlockCursor final : public BlockEncodeCursor {
                   "block encode: feature width mismatch");
     count_ = count;
     word_pos_ = 0;
-    level_index_.resize(count * n);
+    level_rows_.resize(count * n);
     for (std::size_t idx = 0; idx < features.size(); ++idx) {
-      level_index_[idx] =
-          static_cast<std::uint32_t>(owner_.levels().quantize(features[idx]));
+      level_rows_[idx] =
+          owner_.levels().for_value(features[idx]).words().data();
     }
     rematerialize_ =
         resolve_encode_path(requested_, count) == EncodePath::kRematerialized;
@@ -94,22 +94,19 @@ class RecordBlockCursor final : public BlockEncodeCursor {
                     produced * sizeof(std::uint64_t));
       }
     }
-    bound_.resize(produced);
-    const std::uint64_t* tie =
-        owner_.tie_break().words().data() + word_pos_;
+    // Bind, bundle and majority-vote the range of each sample in one pass
+    // of the Harley–Seal kernel: position row i (stride `produced` in the
+    // scratch) against the sample's level row for feature i.
+    hv::BindBundleRange range;
+    range.pos = position_words_.data();
+    range.pos_stride = produced;
+    range.row_offset = word_pos_;
+    range.n = n;
+    range.words = produced;
+    range.tie_break = owner_.tie_break().words().data() + word_pos_;
     for (std::size_t s = 0; s < count_; ++s) {
-      accumulator_.reset(produced);
-      const std::uint32_t* levels = level_index_.data() + s * n;
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t* pos = position_words_.data() + i * produced;
-        const std::uint64_t* level =
-            owner_.levels().at(levels[i]).words().data() + word_pos_;
-        for (std::size_t w = 0; w < produced; ++w) {
-          bound_[w] = pos[w] ^ level[w];
-        }
-        accumulator_.add(bound_.data());
-      }
-      accumulator_.majority(tie, out.data() + s * produced);
+      range.rows = level_rows_.data() + s * n;
+      hv::bind_bundle_majority(range, out.data() + s * produced);
     }
     word_pos_ += produced;
     return produced;
@@ -121,11 +118,9 @@ class RecordBlockCursor final : public BlockEncodeCursor {
   bool rematerialize_ = false;
   std::size_t count_ = 0;
   std::size_t word_pos_ = 0;
-  std::vector<std::uint32_t> level_index_;      // count × N quantized values
-  std::vector<util::Rng> row_rngs_;             // N replay streams (remat)
-  std::vector<std::uint64_t> position_words_;   // N × range scratch
-  std::vector<std::uint64_t> bound_;            // one bound range
-  hv::WordBlockAccumulator accumulator_;
+  std::vector<const std::uint64_t*> level_rows_;  // count × N level rows
+  std::vector<util::Rng> row_rngs_;               // N replay streams (remat)
+  std::vector<std::uint64_t> position_words_;     // N × range scratch
 };
 }  // namespace
 

@@ -2,13 +2,11 @@
 
 #include <bit>
 
+#include "hv/kernels.hpp"
 #include "util/check.hpp"
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define LEHDC_X86_DISPATCH 1
+#if LEHDC_X86_DISPATCH
 #include <immintrin.h>
-#else
-#define LEHDC_X86_DISPATCH 0
 #endif
 
 namespace lehdc::hv {
@@ -20,10 +18,15 @@ namespace {
 // tier and already amortizes the query loads over the row loads.
 constexpr std::size_t kRowBlock = 4;
 
+}  // namespace
+
+// Per-tier popcount kernels, collected into the tier table by kernels.cpp.
+namespace detail {
+
 // ---------------------------------------------------------------- scalar --
 
-std::size_t ham_scalar(const std::uint64_t* a, const std::uint64_t* b,
-                       std::size_t words) {
+std::size_t hamming_scalar(const std::uint64_t* a, const std::uint64_t* b,
+                           std::size_t words) {
   std::size_t total = 0;
   for (std::size_t w = 0; w < words; ++w) {
     total += static_cast<std::size_t>(std::popcount(a[w] ^ b[w]));
@@ -31,8 +34,8 @@ std::size_t ham_scalar(const std::uint64_t* a, const std::uint64_t* b,
   return total;
 }
 
-void ham4_scalar(const std::uint64_t* q, const std::uint64_t* const* rows,
-                 std::size_t words, std::size_t* out) {
+void hamming4_scalar(const std::uint64_t* q, const std::uint64_t* const* rows,
+                     std::size_t words, std::size_t* out) {
   std::size_t acc0 = 0, acc1 = 0, acc2 = 0, acc3 = 0;
   for (std::size_t w = 0; w < words; ++w) {
     const std::uint64_t qw = q[w];
@@ -54,7 +57,7 @@ void ham4_scalar(const std::uint64_t* q, const std::uint64_t* const* rows,
 // nibbles, count bits via VPSHUFB against a 16-entry table, and horizontally
 // sum the byte counts into 64-bit lanes with VPSADBW.
 
-__attribute__((target("avx2"))) inline __m256i popcount_bytes_avx2(
+__attribute__((target("avx2"))) static inline __m256i popcount_bytes_avx2(
     __m256i v) {
   const __m256i lookup =
       _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1,
@@ -66,9 +69,8 @@ __attribute__((target("avx2"))) inline __m256i popcount_bytes_avx2(
                          _mm256_shuffle_epi8(lookup, hi));
 }
 
-__attribute__((target("avx2"))) std::size_t ham_avx2(const std::uint64_t* a,
-                                                     const std::uint64_t* b,
-                                                     std::size_t words) {
+__attribute__((target("avx2"))) std::size_t hamming_avx2(
+    const std::uint64_t* a, const std::uint64_t* b, std::size_t words) {
   const std::size_t vec_words = words & ~std::size_t{3};
   __m256i acc = _mm256_setzero_si256();
   const __m256i zero = _mm256_setzero_si256();
@@ -88,10 +90,9 @@ __attribute__((target("avx2"))) std::size_t ham_avx2(const std::uint64_t* a,
   return total;
 }
 
-__attribute__((target("avx2"))) void ham4_avx2(const std::uint64_t* q,
-                                               const std::uint64_t* const* rows,
-                                               std::size_t words,
-                                               std::size_t* out) {
+__attribute__((target("avx2"))) void hamming4_avx2(
+    const std::uint64_t* q, const std::uint64_t* const* rows,
+    std::size_t words, std::size_t* out) {
   const std::size_t vec_words = words & ~std::size_t{3};
   __m256i acc0 = _mm256_setzero_si256();
   __m256i acc1 = _mm256_setzero_si256();
@@ -136,7 +137,20 @@ __attribute__((target("avx2"))) void ham4_avx2(const std::uint64_t* q,
 // instruction; the ragged tail is handled with a masked load instead of a
 // scalar epilogue.
 
-__attribute__((target("avx512f,avx512vpopcntdq"))) std::size_t ham_avx512(
+// Horizontal sum through memory: GCC 12's _mm512_reduce_add_epi64 expands
+// to an extract of an undefined register and trips -Wuninitialized.
+__attribute__((target("avx512f"))) static inline std::size_t sum_lanes_avx512(
+    __m512i v) {
+  alignas(64) std::uint64_t lanes[8];
+  _mm512_store_si512(lanes, v);
+  std::uint64_t total = 0;
+  for (const std::uint64_t lane : lanes) {
+    total += lane;
+  }
+  return static_cast<std::size_t>(total);
+}
+
+__attribute__((target("avx512f,avx512vpopcntdq"))) std::size_t hamming_avx512(
     const std::uint64_t* a, const std::uint64_t* b, std::size_t words) {
   const std::size_t vec_words = words & ~std::size_t{7};
   __m512i acc = _mm512_setzero_si512();
@@ -152,10 +166,10 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) std::size_t ham_avx512(
                          _mm512_maskz_loadu_epi64(mask, b + vec_words));
     acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(x));
   }
-  return static_cast<std::size_t>(_mm512_reduce_add_epi64(acc));
+  return sum_lanes_avx512(acc);
 }
 
-__attribute__((target("avx512f,avx512vpopcntdq"))) void ham4_avx512(
+__attribute__((target("avx512f,avx512vpopcntdq"))) void hamming4_avx512(
     const std::uint64_t* q, const std::uint64_t* const* rows,
     std::size_t words, std::size_t* out) {
   const std::size_t vec_words = words & ~std::size_t{7};
@@ -194,52 +208,21 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void ham4_avx512(
         acc3, _mm512_popcnt_epi64(_mm512_xor_si512(
                   qv, _mm512_maskz_loadu_epi64(mask, rows[3] + vec_words))));
   }
-  out[0] = static_cast<std::size_t>(_mm512_reduce_add_epi64(acc0));
-  out[1] = static_cast<std::size_t>(_mm512_reduce_add_epi64(acc1));
-  out[2] = static_cast<std::size_t>(_mm512_reduce_add_epi64(acc2));
-  out[3] = static_cast<std::size_t>(_mm512_reduce_add_epi64(acc3));
+  out[0] = sum_lanes_avx512(acc0);
+  out[1] = sum_lanes_avx512(acc1);
+  out[2] = sum_lanes_avx512(acc2);
+  out[3] = sum_lanes_avx512(acc3);
 }
 
 #endif  // LEHDC_X86_DISPATCH
 
-// -------------------------------------------------------------- dispatch --
+}  // namespace detail
 
-using HamFn = std::size_t (*)(const std::uint64_t*, const std::uint64_t*,
-                              std::size_t);
-using Ham4Fn = void (*)(const std::uint64_t*, const std::uint64_t* const*,
-                        std::size_t, std::size_t*);
-
-struct Kernels {
-  HamFn ham;
-  Ham4Fn ham4;
-  const char* name;
-};
-
-Kernels resolve_kernels() {
-#if LEHDC_X86_DISPATCH
-  if (__builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512vpopcntdq")) {
-    return {&ham_avx512, &ham4_avx512, "avx512-vpopcntdq"};
-  }
-  if (__builtin_cpu_supports("avx2")) {
-    return {&ham_avx2, &ham4_avx2, "avx2-lookup"};
-  }
-#endif
-  return {&ham_scalar, &ham4_scalar, "scalar-popcnt"};
-}
-
-const Kernels& kernels() {
-  static const Kernels k = resolve_kernels();
-  return k;
-}
-
-}  // namespace
-
-const char* score_kernel_name() { return kernels().name; }
+const char* score_kernel_name() { return kernel_tier().name; }
 
 std::size_t hamming_words(const std::uint64_t* a, const std::uint64_t* b,
                           std::size_t words) {
-  return kernels().ham(a, b, words);
+  return kernel_tier().hamming(a, b, words);
 }
 
 void hamming_rows(const std::uint64_t* query,
@@ -247,13 +230,13 @@ void hamming_rows(const std::uint64_t* query,
                   std::size_t words, std::span<std::size_t> out) {
   util::expects(out.size() >= rows.size(),
                 "hamming_rows output span too small");
-  const Kernels& k = kernels();
+  const KernelTier& k = kernel_tier();
   std::size_t r = 0;
   for (; r + kRowBlock <= rows.size(); r += kRowBlock) {
-    k.ham4(query, rows.data() + r, words, out.data() + r);
+    k.hamming4(query, rows.data() + r, words, out.data() + r);
   }
   for (; r < rows.size(); ++r) {
-    out[r] = k.ham(query, rows[r], words);
+    out[r] = k.hamming(query, rows[r], words);
   }
 }
 
@@ -262,17 +245,17 @@ void hamming_rows_accumulate(const std::uint64_t* query,
                              std::size_t words, std::span<std::size_t> inout) {
   util::expects(inout.size() >= rows.size(),
                 "hamming_rows_accumulate output span too small");
-  const Kernels& k = kernels();
+  const KernelTier& k = kernel_tier();
   std::size_t partial[kRowBlock];
   std::size_t r = 0;
   for (; r + kRowBlock <= rows.size(); r += kRowBlock) {
-    k.ham4(query, rows.data() + r, words, partial);
+    k.hamming4(query, rows.data() + r, words, partial);
     for (std::size_t i = 0; i < kRowBlock; ++i) {
       inout[r + i] += partial[i];
     }
   }
   for (; r < rows.size(); ++r) {
-    inout[r] += k.ham(query, rows[r], words);
+    inout[r] += k.hamming(query, rows[r], words);
   }
 }
 
@@ -282,17 +265,18 @@ void dot_rows(const std::uint64_t* query,
   util::expects(out.size() >= rows.size(), "dot_rows output span too small");
   const std::size_t words = (dim + 63) / 64;
   std::size_t distances[kRowBlock];
-  const Kernels& k = kernels();
+  const KernelTier& k = kernel_tier();
   const auto d = static_cast<std::int64_t>(dim);
   std::size_t r = 0;
   for (; r + kRowBlock <= rows.size(); r += kRowBlock) {
-    k.ham4(query, rows.data() + r, words, distances);
+    k.hamming4(query, rows.data() + r, words, distances);
     for (std::size_t i = 0; i < kRowBlock; ++i) {
       out[r + i] = d - 2 * static_cast<std::int64_t>(distances[i]);
     }
   }
   for (; r < rows.size(); ++r) {
-    out[r] = d - 2 * static_cast<std::int64_t>(k.ham(query, rows[r], words));
+    out[r] =
+        d - 2 * static_cast<std::int64_t>(k.hamming(query, rows[r], words));
   }
 }
 
@@ -323,13 +307,13 @@ int argmax_dot(const BitVector& query, std::span<const BitVector> classes) {
   // h, so first-wins argmin over distances equals first-wins argmax over
   // dots — the exact tie-break the per-sample predict implements.
   const std::size_t words = query.word_count();
-  const Kernels& k = kernels();
+  const KernelTier& k = kernel_tier();
   int best = 0;
   std::size_t best_distance =
-      k.ham(query.words().data(), classes[0].words().data(), words);
+      k.hamming(query.words().data(), classes[0].words().data(), words);
   for (std::size_t c = 1; c < classes.size(); ++c) {
     const std::size_t distance =
-        k.ham(query.words().data(), classes[c].words().data(), words);
+        k.hamming(query.words().data(), classes[c].words().data(), words);
     if (distance < best_distance) {
       best_distance = distance;
       best = static_cast<int>(c);

@@ -18,8 +18,8 @@
 
 namespace lehdc::hv {
 
-/// Name of the popcount kernel selected at runtime for this process:
-/// "avx512-vpopcntdq", "avx2-lookup" or "scalar-popcnt".
+/// Name of the kernel tier (hv/kernels.hpp) selected at runtime for this
+/// process: "avx512" (VPOPCNTQ), "avx2" (byte-lookup popcount) or "scalar".
 [[nodiscard]] const char* score_kernel_name();
 
 /// Hamming distance |a ≠ b| over `words` packed 64-bit words (bits past the

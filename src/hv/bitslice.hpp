@@ -3,11 +3,15 @@
 // Record-based encoding (Eq. 1) bundles N bound hypervectors with a
 // component-wise majority vote. The naive approach keeps D integer counters
 // and costs O(N·D) scalar adds per sample; at D = 10,000 and N = 784 that
-// dominates encoding time. Instead we keep the counters *bit-sliced*: plane p
-// holds bit p of all D counters packed into D/64 words, and adding one
-// hypervector is a ripple carry-save addition over the planes — O(D/64)
-// word operations amortized, exactly the adder-tree structure a hardware
-// implementation of an HDC encoder would use.
+// dominates encoding time. Instead the counters are kept *bit-sliced*:
+// plane p holds bit p of all D counters packed into D/64 words. Inputs are
+// added sixteen at a time through a Harley–Seal carry-save adder tree whose
+// low planes (ones, twos, fours, eights) stay in registers, so the higher
+// counter planes are touched once per sixteen inputs — the adder-tree
+// structure a hardware HDC encoder uses (Schmuck, Benini & Rahimi). The
+// same core serves the fused record-encode kernel (bind_bundle_majority)
+// and the general accumulator (BitSliceAccumulator); both dispatch at
+// runtime to the widest tier in hv/kernels.hpp.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +20,7 @@
 
 #include "hv/bitvector.hpp"
 #include "hv/intvector.hpp"
+#include "hv/kernels.hpp"
 
 namespace lehdc::hv {
 
@@ -36,36 +41,21 @@ void majority_words(const std::uint64_t* planes, std::size_t plane_count,
                     std::size_t words, std::size_t added,
                     const std::uint64_t* tie_break, std::uint64_t* out);
 
-/// Carry-save majority accumulator over a fixed block of packed words — the
-/// compute core of block encoding (hdc::BlockEncoder). Unlike
-/// BitSliceAccumulator it is dimension-agnostic: it sees only raw word
-/// spans, keeps its counter planes in one contiguous plane-major buffer, and
-/// reset() reuses that capacity, so a cursor sweeping thousands of word
-/// blocks allocates only on the first block.
-class WordBlockAccumulator {
- public:
-  /// Prepares for a block of `words` packed words, clearing all counters.
-  void reset(std::size_t words);
+/// Fused bind → bundle → majority over one word range, the compute core of
+/// block encoding (hdc::BlockEncoder):
+///
+///   out[w] = majority_{i<n}(pos[i*pos_stride + w] ^ rows[i][row_offset + w])
+///
+/// for w < range.words, with majority_words' threshold and tie rule (ties
+/// take tie_break[w]). Word-major: each lane of consecutive words streams
+/// all n inputs through the carry-save tree before the next lane starts, so
+/// no bound hypervector is ever materialized. Preconditions (unchecked —
+/// this is the inner kernel): n >= 1, out has range.words slots.
+void bind_bundle_majority(const BindBundleRange& range, std::uint64_t* out);
 
-  [[nodiscard]] std::size_t words() const noexcept { return words_; }
-  [[nodiscard]] std::size_t added() const noexcept { return added_; }
-
-  /// Adds one hypervector block of words() packed words (1-bits vote −1).
-  void add(const std::uint64_t* block);
-
-  /// Majority vote into `out` (words() slots) with the same threshold and
-  /// tie rule as BitSliceAccumulator::majority; `tie_break` supplies the
-  /// words() tie words. Precondition: added() > 0.
-  void majority(const std::uint64_t* tie_break, std::uint64_t* out) const;
-
- private:
-  std::size_t words_ = 0;
-  std::size_t added_ = 0;
-  std::size_t plane_count_ = 0;
-  std::vector<std::uint64_t> planes_;  // plane-major, plane_count_ × words_
-  std::vector<std::uint64_t> carry_;   // ripple scratch, words_ entries
-};
-
+/// Majority accumulator over whole hypervectors. Rows are buffered and
+/// folded into the counter planes sixteen at a time by the carry-save core;
+/// every observer (count, majority, to_int_vector) sees the pending rows.
 class BitSliceAccumulator {
  public:
   explicit BitSliceAccumulator(std::size_t dim = 0);
@@ -96,17 +86,24 @@ class BitSliceAccumulator {
   /// sum_i = (#(+1 votes) − #(−1 votes)) = N − 2·count.
   [[nodiscard]] IntVector to_int_vector() const;
 
-  /// Number of counter bit-planes currently allocated.
-  [[nodiscard]] std::size_t plane_count() const noexcept {
-    return planes_.size();
-  }
+  /// Number of counter bit-planes the counts occupy: bit_width(added()).
+  [[nodiscard]] std::size_t plane_count() const noexcept;
 
  private:
+  static constexpr std::size_t kPendingRows = 16;
+
+  /// The counter planes with the pending rows folded in; sets
+  /// `plane_count` to the number of planes returned.
+  [[nodiscard]] std::vector<std::uint64_t> settled_planes(
+      std::size_t& plane_count) const;
+
   std::size_t dim_;
   std::size_t words_;
   std::size_t added_ = 0;
-  // planes_[p][w]: bit p of the counters for components [64w, 64w+63].
-  std::vector<std::vector<std::uint64_t>> planes_;
+  std::size_t plane_count_ = 0;        // planes held in planes_
+  std::vector<std::uint64_t> planes_;  // plane-major, plane_count_ × words_
+  std::size_t pending_count_ = 0;      // rows buffered in pending_
+  std::vector<std::uint64_t> pending_;  // kPendingRows × words_ once used
 };
 
 }  // namespace lehdc::hv

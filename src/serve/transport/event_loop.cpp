@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "serve/transport/socket.hpp"
 #include "util/log.hpp"
 
 namespace lehdc::serve::transport {
@@ -219,12 +220,8 @@ std::size_t EventLoop::poll_once(int max_wait_ms) {
 
 void EventLoop::accept_ready(int listener_fd) {
   while (true) {
-    const int fd = ::accept4(listener_fd, nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
+    const int fd = accept_connection(listener_fd);
     if (fd < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         return;
       }

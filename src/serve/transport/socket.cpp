@@ -153,6 +153,23 @@ int connect_unix(const std::string& path, bool nonblocking) {
   return guard.release();
 }
 
+int accept_connection(int listener_fd) noexcept {
+  sockaddr_storage peer{};
+  int fd = -1;
+  do {
+    socklen_t peer_len = sizeof(peer);
+    fd = ::accept4(listener_fd, reinterpret_cast<sockaddr*>(&peer), &peer_len,
+                   SOCK_NONBLOCK | SOCK_CLOEXEC);
+  } while (fd < 0 && errno == EINTR);
+  if (fd >= 0 && (peer.ss_family == AF_INET || peer.ss_family == AF_INET6)) {
+    // Best effort: without it the connection still carries the same bytes,
+    // only later.
+    const int one = 1;
+    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  }
+  return fd;
+}
+
 int connect_tcp(const std::string& host, std::uint16_t port,
                 bool nonblocking) {
   addrinfo hints{};

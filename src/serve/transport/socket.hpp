@@ -30,6 +30,16 @@ namespace lehdc::serve::transport {
 /// Port a bound socket actually listens on (for port-0 listeners).
 [[nodiscard]] std::uint16_t local_port(int fd);
 
+/// Accepts one pending connection on a listener as a non-blocking,
+/// close-on-exec fd, retrying EINTR. TCP connections get TCP_NODELAY: the
+/// server writes each response frame as soon as it is ready, and Nagle's
+/// algorithm would hold a small frame back until the peer acknowledges the
+/// previous one — a delayed-ACK stall of several milliseconds at low
+/// request rates. AF_UNIX connections have no such option and are left
+/// as accepted. Returns -1 with errno set when accept fails (EAGAIN when
+/// nothing is pending); never throws.
+[[nodiscard]] int accept_connection(int listener_fd) noexcept;
+
 /// Client-side connect; `nonblocking` selects O_NONBLOCK *after* the
 /// connect completes, so callers never see EINPROGRESS.
 [[nodiscard]] int connect_unix(const std::string& path,

@@ -108,8 +108,14 @@ void ThreadPool::parallel_for(
           first_error = std::current_exception();
         }
       }
+      // done_mutex, done and remaining live on the caller's stack. The
+      // decrement must happen under done_mutex: decremented outside it, the
+      // caller could observe zero, return and reuse the frame while this
+      // worker was still about to lock and notify. Under the lock, the
+      // caller cannot re-check `remaining` until this worker unlocks, which
+      // is its last touch of the frame.
+      const MutexLock lock(done_mutex);
       if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        const MutexLock lock(done_mutex);
         done.notify_one();
       }
     };

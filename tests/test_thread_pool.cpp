@@ -215,6 +215,38 @@ TEST(ThreadPool, DestructionWhileIdleIsClean) {
   }
 }
 
+// Fills the stack below the caller with a non-zero pattern, so anything
+// still using a frame that parallel_for has returned from finds garbage
+// rather than the mutex it left there.
+[[gnu::noinline]] void scribble_stack() {
+  volatile unsigned char junk[16384];
+  for (auto& byte : junk) {
+    byte = 0xff;
+  }
+}
+
+TEST(ThreadPool, FreshOversubscribedPoolsSurviveBackToBackSweeps) {
+  // Regression for a completion race: a worker used to decrement the
+  // outstanding-chunk count before locking the done mutex, which lives in
+  // parallel_for's stack frame. The caller could see zero, return and reuse
+  // that frame while the worker was still about to lock and notify it; a
+  // worker that then locks scribbled memory hangs or crashes. Fresh pools
+  // with more workers than cores and many tiny back-to-back sweeps widen
+  // the window; the ctest TIMEOUT turns a hang into a failure.
+  constexpr std::size_t kWorkers = 16;
+  for (int round = 0; round < 8; ++round) {
+    ThreadPool pool(kWorkers);
+    for (int call = 0; call < 2000; ++call) {
+      std::atomic<std::size_t> count{0};
+      pool.parallel_for(0, kWorkers, [&](std::size_t lo, std::size_t hi) {
+        count.fetch_add(hi - lo, std::memory_order_relaxed);
+      });
+      ASSERT_EQ(count.load(), kWorkers);
+      scribble_stack();
+    }
+  }
+}
+
 TEST(ThreadPool, ParseWorkerCount) {
   EXPECT_EQ(parse_worker_count(nullptr), 0u);
   EXPECT_EQ(parse_worker_count(""), 0u);

@@ -3,12 +3,18 @@
 // fuzz corpus from `lehdc_serve genframes --corrupt`, Connection's
 // pause/shed/ordering semantics, the transport chaos scenarios, and
 // byte-for-byte parity between the epoll TCP path and the AF_UNIX path
-// for the same request stream. Everything runs on a FakeClock with a
+// for the same request stream, and the socket options accepted
+// connections carry. Everything runs on a FakeClock with a
 // manual-dispatch server — one thread is client, server and event loop.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
+
+#include <cerrno>
 
 #include <cstdint>
 #include <cstring>
@@ -609,6 +615,58 @@ std::string round_trip(int fd, const std::vector<serve::WireRequest>& requests,
     responses += pump_read(fd, 1, loop);
   }
   return responses;
+}
+
+/// Accepts the connection a client just opened on `listener` (the
+/// handshake already completed, so it is pending or about to be).
+int accept_pending(int listener) {
+  int fd = -1;
+  for (int spins = 0; fd < 0 && spins < 100000; ++spins) {
+    fd = serve::transport::accept_connection(listener);
+    if (fd < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
+      break;
+    }
+  }
+  return fd;
+}
+
+TEST(Socket, AcceptedTcpConnectionsDisableNagle) {
+  // The event loop accepts through accept_connection; a TCP connection
+  // must come out non-blocking with Nagle off, or a small response frame
+  // waits on the peer's delayed ACK.
+  const int listener = serve::transport::listen_tcp("127.0.0.1", 0, 16);
+  const std::uint16_t port = serve::transport::local_port(listener);
+  const int client = serve::transport::connect_tcp("127.0.0.1", port);
+  const int accepted = accept_pending(listener);
+  ASSERT_GE(accepted, 0) << std::strerror(errno);
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(accepted, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len),
+            0)
+      << std::strerror(errno);
+  EXPECT_NE(nodelay, 0);
+  EXPECT_NE(::fcntl(accepted, F_GETFL) & O_NONBLOCK, 0);
+  ::close(accepted);
+  ::close(client);
+  ::close(listener);
+}
+
+TEST(Socket, AcceptedUnixConnectionsSkipTcpOptions) {
+  const std::string path = ::testing::TempDir() + "lehdc_accept.sock";
+  const int listener = serve::transport::listen_unix(path, 16);
+  const int client = serve::transport::connect_unix(path);
+  const int accepted = accept_pending(listener);
+  ASSERT_GE(accepted, 0) << std::strerror(errno);
+  EXPECT_NE(::fcntl(accepted, F_GETFL) & O_NONBLOCK, 0);
+  // AF_UNIX has no TCP level: the option does not exist there.
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  EXPECT_NE(::getsockopt(accepted, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len),
+            0);
+  ::close(accepted);
+  ::close(client);
+  ::close(listener);
+  ::unlink(path.c_str());
 }
 
 TEST(EventLoop, TcpAndUnixServeByteIdenticalStreams) {
