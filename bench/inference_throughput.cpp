@@ -14,12 +14,12 @@
 // batch_all_threads/1024 workload re-runs with metrics collection enabled,
 // and the slowdown must stay within the ≤2% budget (DESIGN.md §5d).
 //
-// The encode-path phase (PR 8) measures raw-sample prediction end to end —
-// encode + score — on both item-memory paths (materialized streaming vs
-// rematerialized regeneration, DESIGN.md §5i), reports samples/sec and
-// item-memory bytes/sample for each, and asserts the two paths predict
-// bit-identically ("encode parity: ok"; a mismatch exits non-zero, and CI
-// greps for the parity line).
+// The encode phase measures raw-sample prediction end to end — block
+// encode + score through one predict_queries call (DESIGN.md §5i) —
+// reports samples/sec and item-memory bytes/sample, and asserts that it
+// predicts bit-identically to per-sample encode() followed by
+// predict_batch over the encoded hypervectors ("encode parity: ok"; a
+// mismatch exits non-zero, and CI greps for the parity line).
 #include <cstdio>
 #include <iostream>
 #include <span>
@@ -189,10 +189,10 @@ int main(int argc, char** argv) {
               "(%.0f -> %.0f qps)\n",
               overhead_percent, qps_metrics_off, qps_metrics_on);
 
-  // Encode-path phase: raw samples through the unified predict_queries
-  // surface, once per item-memory path. Same samples, same classifier —
-  // only the item-memory traffic differs, so the predictions must match
-  // bit for bit (the parity gate CI enforces).
+  // Encode phase: raw samples through the unified predict_queries surface,
+  // checked against per-sample encode() followed by predict_batch over the
+  // encoded hypervectors. Same samples, same classifier, so the predictions
+  // must match bit for bit (the parity gate CI enforces).
   const auto features = static_cast<std::size_t>(flags.get_int("features"));
   hdc::RecordEncoderConfig encoder_config;
   encoder_config.dim = dim;
@@ -209,42 +209,39 @@ int main(int argc, char** argv) {
       raw.add_sample(row, static_cast<int>(i % classes));
     }
   }
-  struct EncodePathResult {
-    const char* mode;
-    hdc::EncodePath path;
-    double samples_per_second = 0.0;
-    double bytes_per_sample = 0.0;
-    std::vector<int> predictions;
-  };
-  EncodePathResult encode_results[] = {
-      {"materialized", hdc::EncodePath::kMaterialized, 0.0, 0.0, {}},
-      {"rematerialized", hdc::EncodePath::kRematerialized, 0.0, 0.0, {}},
-  };
-  for (auto& r : encode_results) {
-    const hdc::QueryBatch batch(raw, encoder, r.path);
-    r.predictions.assign(raw.size(), -1);
-    hdc::PredictStats stats;
-    scorer_nt.predict_queries(batch, r.predictions, &stats);
-    r.bytes_per_sample = static_cast<double>(stats.encode_bytes) /
-                         static_cast<double>(stats.samples);
-    r.samples_per_second = measure_qps(raw.size(), min_seconds, [&] {
-      scorer_nt.predict_queries(batch, r.predictions);
-    });
+  const hdc::QueryBatch raw_batch(raw, encoder);
+  std::vector<int> raw_predictions(raw.size(), -1);
+  hdc::PredictStats raw_stats;
+  scorer_nt.predict_queries(raw_batch, raw_predictions, &raw_stats);
+  const double raw_bytes_per_sample =
+      static_cast<double>(raw_stats.encode_bytes) /
+      static_cast<double>(raw_stats.samples);
+  const double raw_samples_per_second =
+      measure_qps(raw.size(), min_seconds, [&] {
+        scorer_nt.predict_queries(raw_batch, raw_predictions);
+      });
+  std::vector<hv::BitVector> encoded;
+  encoded.reserve(raw.size());
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    encoded.push_back(encoder.encode(raw.sample(i)));
   }
-  util::TextTable encode_table({"Encode path", "Samples/sec", "Bytes/sample"});
-  for (const auto& r : encode_results) {
+  std::vector<int> reference(raw.size(), -2);
+  scorer_nt.predict_batch(encoded, reference);
+
+  util::TextTable encode_table({"Encode", "Samples/sec", "Bytes/sample"});
+  {
     char sps[32];
     char bps[32];
-    std::snprintf(sps, sizeof sps, "%.0f", r.samples_per_second);
-    std::snprintf(bps, sizeof bps, "%.0f", r.bytes_per_sample);
-    encode_table.add_row({r.mode, sps, bps});
+    std::snprintf(sps, sizeof sps, "%.0f", raw_samples_per_second);
+    std::snprintf(bps, sizeof bps, "%.0f", raw_bytes_per_sample);
+    encode_table.add_row({"raw batch", sps, bps});
   }
   std::printf("\n");
   encode_table.print(std::cout);
-  if (encode_results[0].predictions != encode_results[1].predictions) {
+  if (raw_predictions != reference) {
     std::fprintf(stderr,
-                 "encode parity: MISMATCH (materialized and rematerialized "
-                 "paths disagree)\n");
+                 "encode parity: MISMATCH (raw-batch predict_queries and "
+                 "per-sample encode + predict_batch disagree)\n");
     return 1;
   }
   std::printf("encode parity: ok\n");
@@ -252,16 +249,10 @@ int main(int argc, char** argv) {
   // Re-emit every number through the registry so the snapshot is the one
   // schema CI validates (collection is already enabled at this point).
   auto& registry = obs::Registry::global();
-  for (const auto& r : encode_results) {
-    registry
-        .gauge(std::string("bench.inference.encode.") + r.mode +
-               "_samples_per_sec")
-        .set(r.samples_per_second);
-    registry
-        .gauge(std::string("bench.inference.encode.") + r.mode +
-               "_bytes_per_sample")
-        .set(r.bytes_per_sample);
-  }
+  registry.gauge("bench.inference.encode.raw_samples_per_sec")
+      .set(raw_samples_per_second);
+  registry.gauge("bench.inference.encode.raw_bytes_per_sample")
+      .set(raw_bytes_per_sample);
   for (const auto& m : results) {
     registry
         .gauge("bench.inference." + m.mode + ".b" + std::to_string(m.batch) +

@@ -189,7 +189,7 @@ std::vector<int> Pipeline::predict_batch(
   const obs::TraceSpan span("pipeline.predict_batch");
   batch_query_counter().add(dataset.size());
   model_->predict_queries(
-      hdc::QueryBatch(dataset, *encoder_, config_.encode_path), out);
+      hdc::QueryBatch(dataset, *encoder_), out);
   return out;
 }
 
@@ -213,12 +213,11 @@ EvalResult Pipeline::evaluate(const data::Dataset& dataset) const {
   std::vector<int> predicted(dataset.size());
   hdc::PredictStats stats;
   model_->predict_queries(
-      hdc::QueryBatch(dataset, *encoder_, config_.encode_path), predicted,
+      hdc::QueryBatch(dataset, *encoder_), predicted,
       &stats);
   result.encode_seconds = stats.encode_seconds;
   result.score_seconds = stats.score_seconds;
   result.encode_bytes = stats.encode_bytes;
-  result.rematerialized = stats.rematerialized;
 
   // The matrix must admit every label either side produced (a model can
   // predict a class the evaluation split happens to lack).

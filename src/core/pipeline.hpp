@@ -49,11 +49,6 @@ struct PipelineConfig {
 
   Strategy strategy = Strategy::kLeHdc;
 
-  /// Item-memory strategy for batched raw-sample prediction: kAuto picks
-  /// rematerialized for batches (overridable process-wide via the
-  /// LEHDC_ENCODE_PATH environment variable); both paths are bit-identical.
-  hdc::EncodePath encode_path = hdc::EncodePath::kAuto;
-
   // Fault tolerance (epoch-based strategies, i.e. LeHDC): write a
   // crash-safe checkpoint every `checkpoint_every` epochs (0 disables),
   // and/or resume a killed run from `resume_path`. See core/checkpoint.hpp.
@@ -97,14 +92,13 @@ struct EvalResult {
   /// Full confusion matrix of the pass; null when the dataset was empty.
   std::shared_ptr<const train::ConfusionMatrix> confusion;
   /// Wall time spent encoding raw samples, summed over workers (exceeds
-  /// elapsed time when the fused pass runs on several threads).
+  /// elapsed time when the pass runs on several threads).
   double encode_seconds = 0.0;
   /// Wall time spent scoring encoded blocks, summed over workers.
   double score_seconds = 0.0;
-  /// Item-memory bytes the encode stage streamed over the whole pass, and
-  /// whether it ran on the rematerialized path (see hdc::PredictStats).
+  /// Item-memory bytes the encode stage gathered over the whole pass (see
+  /// hdc::PredictStats).
   std::uint64_t encode_bytes = 0;
-  bool rematerialized = false;
 };
 
 class Pipeline {
@@ -132,12 +126,11 @@ class Pipeline {
   [[nodiscard]] int predict(std::span<const float> features) const;
 
   /// Classifies a whole raw dataset in one batched pass over the model's
-  /// unified predict_queries surface: on the (default for batches)
-  /// rematerialized path, encode and score fuse per word range and the
-  /// encoded hypervectors never materialize at all; config().encode_path /
-  /// LEHDC_ENCODE_PATH select the path. Results are bit-identical to
-  /// per-sample predict on every path and worker count. Precondition:
-  /// fitted; the dataset must match the encoder's feature count.
+  /// unified predict_queries surface: each worker block-encodes up to 64
+  /// samples, scores them and reuses the buffers, so the batch is never
+  /// encoded whole. Results are bit-identical to per-sample predict for
+  /// every worker count. Precondition: fitted; the dataset must match the
+  /// encoder's feature count.
   [[nodiscard]] std::vector<int> predict_batch(
       const data::Dataset& dataset) const;
 
@@ -146,7 +139,7 @@ class Pipeline {
   void predict_batch(std::span<const hv::BitVector> queries,
                      std::span<int> out) const;
 
-  /// Evaluates a raw dataset (fused batched encode+predict): accuracy,
+  /// Evaluates a raw dataset (blocked batched encode+predict): accuracy,
   /// confusion matrix and per-stage wall times in one pass. Predictions —
   /// and therefore accuracy and the confusion matrix — are bit-identical
   /// for every worker count; the timings are measurements and are not.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <memory>
 
@@ -22,12 +21,6 @@ namespace {
 // amortize the scratch acquisition.
 constexpr std::size_t kReductionChunk = 256;
 
-// Samples per encode block on the raw-batch paths. One block is the unit of
-// work a worker claims, the population a cursor amortizes regenerated
-// position words over, and (blocked path) the most hypervectors a worker
-// ever holds.
-constexpr std::size_t kSampleBlock = 64;
-
 obs::Counter& query_counter() {
   static obs::Counter& counter =
       obs::Registry::global().counter("score.queries");
@@ -44,18 +37,6 @@ obs::Histogram& encode_bytes_histogram() {
   static obs::Histogram& histogram =
       obs::Registry::global().histogram("encode.bytes_per_sample");
   return histogram;
-}
-
-obs::Counter& materialized_counter() {
-  static obs::Counter& counter =
-      obs::Registry::global().counter("encode.materialized_samples");
-  return counter;
-}
-
-obs::Counter& rematerialized_counter() {
-  static obs::Counter& counter =
-      obs::Registry::global().counter("encode.rematerialized_samples");
-  return counter;
 }
 
 }  // namespace
@@ -201,131 +182,26 @@ void BatchScorer::predict_encoded(std::span<const hv::BitVector> queries,
                       });
 }
 
-void BatchScorer::predict_fused(const data::Dataset& dataset,
-                                const BlockEncoder& encoder,
-                                std::span<int> out,
-                                PredictStats* stats) const {
-  const std::size_t n = dataset.size();
-  const std::size_t range_words =
-      block_range_words(dataset.feature_count(), encoder.word_count());
-  const std::size_t blocks = (n + kSampleBlock - 1) / kSampleBlock;
-  util::Mutex stats_mutex;
-  pool().parallel_for(0, blocks, [&](std::size_t lo, std::size_t hi) {
-    obs::ScopedTimer chunk_timer(chunk_histogram());
-    auto cursor = encoder.make_cursor(EncodePath::kRematerialized);
-    std::vector<std::uint64_t> encoded(kSampleBlock * range_words);
-    std::vector<std::size_t> distances;
-    std::vector<const std::uint64_t*> range_rows(rows_.size());
-    double local_encode = 0.0;
-    double local_score = 0.0;
-    for (std::size_t b = lo; b < hi; ++b) {
-      const std::size_t begin = b * kSampleBlock;
-      const std::size_t end = std::min(n, begin + kSampleBlock);
-      const std::size_t count = end - begin;
-      {
-        const util::Stopwatch watch;
-        cursor->begin(dataset.rows(begin, count), count);
-        local_encode += watch.elapsed_seconds();
-      }
-      distances.assign(count * rows_.size(), 0);
-      std::size_t word_pos = 0;
-      for (;;) {
-        std::size_t produced = 0;
-        {
-          const util::Stopwatch watch;
-          produced = cursor->encode_words(
-              range_words, {encoded.data(), count * range_words});
-          local_encode += watch.elapsed_seconds();
-        }
-        if (produced == 0) {
-          break;
-        }
-        const util::Stopwatch watch;
-        // Score this word range of every sample against the class rows,
-        // offset into the same range, before the encoded words leave cache.
-        for (std::size_t r = 0; r < rows_.size(); ++r) {
-          range_rows[r] = rows_[r] + word_pos;
-        }
-        for (std::size_t s = 0; s < count; ++s) {
-          hv::hamming_rows_accumulate(
-              encoded.data() + s * produced, range_rows, produced,
-              {distances.data() + s * rows_.size(), rows_.size()});
-        }
-        local_score += watch.elapsed_seconds();
-        word_pos += produced;
-      }
-      const util::Stopwatch watch;
-      for (std::size_t s = 0; s < count; ++s) {
-        // First-wins argmin over full-dimension distances in row order —
-        // identical to predict_range's first-wins argmax over dots, since
-        // dot = dim − 2·distance is strictly decreasing in distance.
-        const std::size_t* d = distances.data() + s * rows_.size();
-        std::size_t best_row = 0;
-        std::size_t best = d[0];
-        for (std::size_t r = 1; r < rows_.size(); ++r) {
-          if (d[r] < best) {
-            best = d[r];
-            best_row = r;
-          }
-        }
-        out[begin + s] = kind_ == Kind::kBinary ? static_cast<int>(best_row)
-                                                : row_class_[best_row];
-      }
-      local_score += watch.elapsed_seconds();
-    }
-    if (stats != nullptr) {
-      const util::MutexLock lock(stats_mutex);
-      stats->encode_seconds += local_encode;
-      stats->score_seconds += local_score;
-    }
-  });
-}
-
 void BatchScorer::predict_blocked(const data::Dataset& dataset,
-                                  const Encoder& encoder, EncodePath path,
-                                  std::span<int> out,
+                                  const Encoder& encoder, std::span<int> out,
                                   PredictStats* stats) const {
   const std::size_t n = dataset.size();
-  const auto* block = dynamic_cast<const BlockEncoder*>(&encoder);
-  const std::size_t blocks = (n + kSampleBlock - 1) / kSampleBlock;
+  const std::size_t blocks =
+      (n + kEncodeBlockSamples - 1) / kEncodeBlockSamples;
   util::Mutex stats_mutex;
   pool().parallel_for(0, blocks, [&](std::size_t lo, std::size_t hi) {
     obs::ScopedTimer chunk_timer(chunk_histogram());
-    auto cursor = block != nullptr ? block->make_cursor(path) : nullptr;
-    std::vector<hv::BitVector> encoded(std::min(kSampleBlock, n),
-                                       hv::BitVector(encoder.dim()));
-    std::vector<std::uint64_t> range_buf;
+    BlockEncodeWorker worker(encoder);
+    std::vector<hv::BitVector> encoded(std::min(kEncodeBlockSamples, n));
     auto scratch = acquire_scratch();
     double local_encode = 0.0;
     double local_score = 0.0;
     for (std::size_t b = lo; b < hi; ++b) {
-      const std::size_t begin = b * kSampleBlock;
-      const std::size_t end = std::min(n, begin + kSampleBlock);
-      const std::size_t count = end - begin;
+      const std::size_t begin = b * kEncodeBlockSamples;
+      const std::size_t count = std::min(n - begin, kEncodeBlockSamples);
       {
         const util::Stopwatch watch;
-        if (cursor != nullptr) {
-          // Stream cursor ranges into per-sample hypervectors; the range
-          // size keeps the cursor's item-memory working set cache-sized.
-          const std::size_t range_words =
-              block_range_words(dataset.feature_count(), block->word_count());
-          cursor->begin(dataset.rows(begin, count), count);
-          range_buf.resize(count * range_words);
-          std::size_t word_pos = 0;
-          while (const std::size_t produced =
-                     cursor->encode_words(range_words, range_buf)) {
-            for (std::size_t s = 0; s < count; ++s) {
-              std::memcpy(encoded[s].words().data() + word_pos,
-                          range_buf.data() + s * produced,
-                          produced * sizeof(std::uint64_t));
-            }
-            word_pos += produced;
-          }
-        } else {
-          for (std::size_t i = begin; i < end; ++i) {
-            encoded[i - begin] = encoder.encode(dataset.sample(i));
-          }
-        }
+        worker.encode(dataset, begin, {encoded.data(), count});
         local_encode += watch.elapsed_seconds();
       }
       const util::Stopwatch watch;
@@ -363,36 +239,19 @@ void BatchScorer::predict_queries(const QueryBatch& queries,
   const Encoder& encoder = queries.encoder();
   util::expects(encoder.dim() == dim_,
                 "query batch/classifier dimension mismatch");
-  const auto* block = dynamic_cast<const BlockEncoder*>(&encoder);
-  const EncodePath path =
-      block != nullptr ? resolve_encode_path(queries.path(), dataset.size())
-                       : EncodePath::kMaterialized;
-  const bool rematerialized = path == EncodePath::kRematerialized;
-  (rematerialized ? rematerialized_counter() : materialized_counter())
-      .add(dataset.size());
-  if (block != nullptr) {
-    // Exact traffic accounting for the block grid below: rematerialization
-    // regenerates the position words once per block, the materialized path
-    // streams them once per sample.
-    const std::uint64_t position_bytes =
-        block->encode_bytes_per_sample(EncodePath::kMaterialized, 1);
+  if (const auto* block = dynamic_cast<const BlockEncoder*>(&encoder)) {
+    // Each encode block gathers the N·W·8 position bytes once.
     const std::uint64_t block_count =
-        (dataset.size() + kSampleBlock - 1) / kSampleBlock;
-    const std::uint64_t bytes = rematerialized
-                                    ? block_count * position_bytes
-                                    : dataset.size() * position_bytes;
+        (dataset.size() + kEncodeBlockSamples - 1) / kEncodeBlockSamples;
+    const std::uint64_t bytes =
+        block_count * block->encode_bytes_per_sample(1);
     encode_bytes_histogram().observe(static_cast<double>(bytes) /
                                      static_cast<double>(dataset.size()));
     if (stats != nullptr) {
       stats->encode_bytes = bytes;
-      stats->rematerialized = rematerialized;
     }
   }
-  if (block != nullptr && rematerialized && kind_ != Kind::kNonBinary) {
-    predict_fused(dataset, *block, out, stats);
-  } else {
-    predict_blocked(dataset, encoder, path, out, stats);
-  }
+  predict_blocked(dataset, encoder, out, stats);
 }
 
 void BatchScorer::predict_batch(std::span<const hv::BitVector> queries,

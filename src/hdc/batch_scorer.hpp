@@ -51,13 +51,11 @@ class BatchScorer {
   /// THE batched prediction entry point: classifies any QueryBatch view —
   /// already-encoded hypervectors, an EncodedDataset, or raw samples plus
   /// their encoder — bit-identically to the bound classifier's per-sample
-  /// predict over per-sample encode, for every worker count and either
-  /// encode path. Raw batches whose encoder is a BlockEncoder run blocked;
-  /// on the rematerialized path against a binary/ensemble classifier the
-  /// encode and score fuse per word range, so no hypervector ever
-  /// materializes and the class rows stay cache-resident. `stats` (optional)
-  /// receives per-stage seconds and encode bytes. Precondition:
-  /// out.size() == queries.size().
+  /// predict over per-sample encode, for every worker count. Raw batches
+  /// run blocked: each worker encodes a block of samples through a
+  /// BlockEncodeWorker, scores it and reuses the buffers for its next
+  /// block. `stats` (optional) receives per-stage seconds and encode
+  /// bytes. Precondition: out.size() == queries.size().
   void predict_queries(const QueryBatch& queries, std::span<int> out,
                        PredictStats* stats = nullptr) const;
 
@@ -101,19 +99,10 @@ class BatchScorer {
   void predict_encoded(std::span<const hv::BitVector> queries,
                        std::span<int> out, PredictStats* stats) const;
 
-  // Raw batches, fused: per sample block, each rematerialized word range is
-  // scored into per-row distance accumulators immediately (binary/ensemble
-  // only — cosine scoring needs the full query vector).
-  void predict_fused(const data::Dataset& dataset,
-                     const BlockEncoder& encoder, std::span<int> out,
-                     PredictStats* stats) const;
-
-  // Raw batches, blocked: encode one block of hypervectors per worker
-  // (through a cursor on `path` when the encoder supports it, else
-  // per-sample encode()), score it, discard it.
+  // Raw batches: encode one block of hypervectors per worker through a
+  // BlockEncodeWorker, score it, reuse the buffers for the next block.
   void predict_blocked(const data::Dataset& dataset, const Encoder& encoder,
-                       EncodePath path, std::span<int> out,
-                       PredictStats* stats) const;
+                       std::span<int> out, PredictStats* stats) const;
 
   [[nodiscard]] double cosine_score(const hv::BitVector& query,
                                     std::size_t k) const;

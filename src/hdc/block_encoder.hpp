@@ -5,34 +5,31 @@
 // sample streams the entire position item memory (N·D bits) through the
 // cache. BlockEncoder turns the loop inside out. A cursor binds to a block
 // of S samples and emits their packed hypervector words a word range at a
-// time, so (a) the item-memory words for a range are loaded — or
-// *rematerialized* from the stored RNG seeds, costing no memory traffic at
-// all — once per block instead of once per sample, and (b) a consumer can
-// score each word range against the class memory immediately and never hold
-// more than an L2-sized slice of any hypervector (the fused encode→score
-// kernel in BatchScorer). Both item-memory paths are bit-identical; the
-// parity suite in tests/test_block_encode.cpp gates that.
+// time, so the stored position words for a range are gathered once per
+// block instead of once per sample, and the gathered slice stays L2-sized.
+//
+// BlockEncodeWorker is the one raw-sample encode routine built on it:
+// training encode (encode_dataset), batch predict and serving
+// (BatchScorer::predict_queries) all encode through it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <vector>
+
+namespace lehdc::data {
+class Dataset;
+}  // namespace lehdc::data
+
+namespace lehdc::hv {
+class BitVector;
+}  // namespace lehdc::hv
 
 namespace lehdc::hdc {
 
-/// Which item-memory strategy a block encode uses.
-enum class EncodePath {
-  /// Pick per call: rematerialize for batches (resolve_encode_path), unless
-  /// the LEHDC_ENCODE_PATH environment variable pins a path process-wide.
-  kAuto,
-  /// Stream the stored item-memory rows from RAM (the classic path; cheapest
-  /// for single samples and tiny batches).
-  kMaterialized,
-  /// Regenerate item-memory words on the fly from the stored seeds —
-  /// bit-identical to the stored rows, zero item-memory traffic.
-  kRematerialized,
-};
+class Encoder;
 
 /// Streaming cursor over the packed hypervector words of a sample block.
 /// Obtained from BlockEncoder::make_cursor and reusable across blocks:
@@ -68,17 +65,22 @@ class BlockEncoder {
   /// Packed words per encoded hypervector, ceil(dim / 64).
   [[nodiscard]] virtual std::size_t word_count() const noexcept = 0;
 
-  /// Item-memory bytes one sample's encode streams from RAM on `path` when
-  /// cursors process `block_samples` samples per begin(). The bytes/sample
+  /// Item-memory bytes one sample's encode gathers when cursors process
+  /// `block_samples` samples per begin(): each position range is copied once
+  /// per block, so the N·W·8 position bytes are shared by the block. The
   /// figure behind the encode.bytes_per_sample metric and the bench report.
   [[nodiscard]] virtual std::size_t encode_bytes_per_sample(
-      EncodePath path, std::size_t block_samples) const noexcept = 0;
+      std::size_t block_samples) const noexcept = 0;
 
-  /// A fresh cursor over this encoder. kAuto resolves per begin() via
-  /// resolve_encode_path with the bound block's sample count.
-  [[nodiscard]] virtual std::unique_ptr<BlockEncodeCursor> make_cursor(
-      EncodePath path = EncodePath::kAuto) const = 0;
+  /// A fresh cursor over this encoder.
+  [[nodiscard]] virtual std::unique_ptr<BlockEncodeCursor> make_cursor()
+      const = 0;
 };
+
+/// Samples per encode block: the unit of work a worker claims, the
+/// population a cursor shares each gathered position range over, and the
+/// most hypervectors a scoring worker holds at once.
+inline constexpr std::size_t kEncodeBlockSamples = 64;
 
 /// Words per encode_words() step that keep a cursor's item-memory working
 /// set cache-resident: the per-range position scratch (feature_count rows ×
@@ -87,12 +89,41 @@ class BlockEncoder {
 [[nodiscard]] std::size_t block_range_words(std::size_t feature_count,
                                             std::size_t word_count) noexcept;
 
-/// Resolves kAuto against the LEHDC_ENCODE_PATH environment variable
-/// ("materialized" | "rematerialized" | "auto", read once per process) and,
-/// failing that, the batch size: rematerialization amortizes the regenerated
-/// words over the samples of a block, so it wins for batches and loses for
-/// near-single samples. Non-auto requests pass through unchanged.
-[[nodiscard]] EncodePath resolve_encode_path(EncodePath requested,
-                                             std::size_t samples);
+/// The one raw-sample encode routine. Each worker owns one and encodes
+/// blocks of up to kEncodeBlockSamples samples with it: a BlockEncoder runs
+/// one cursor pass per block in block_range_words steps, copying each range
+/// into the output hypervectors; any other encoder falls back to per-sample
+/// encode(). Every block adds its sample count to encode.samples and one
+/// observation to encode.block_seconds. Reusable across blocks; not thread
+/// safe. The encoder must outlive the worker.
+class BlockEncodeWorker {
+ public:
+  explicit BlockEncodeWorker(const Encoder& encoder);
+
+  /// Encodes samples [begin, begin + out.size()) of `samples` into `out`,
+  /// resizing any hypervector whose dimension differs from the encoder's.
+  /// Preconditions: 1 <= out.size() <= kEncodeBlockSamples; the samples
+  /// exist and match the encoder's feature count.
+  void encode(const data::Dataset& samples, std::size_t begin,
+              std::span<hv::BitVector> out);
+
+ private:
+  const Encoder& encoder_;
+  std::unique_ptr<BlockEncodeCursor> cursor_;
+  std::size_t range_words_ = 0;
+  std::vector<std::uint64_t> range_buf_;
+};
+
+// Compatibility shim for perfbench/src/common.cpp's fill_context, which
+// still names these to report an `encode_path_*` context line. Nothing in
+// src/ takes an EncodePath: there is one encode path, the stored rows.
+// Delete both with the next change to the benchmark.
+enum class EncodePath { kAuto, kMaterialized, kRematerialized };
+
+/// Always kMaterialized; see the shim note above.
+[[nodiscard]] inline EncodePath resolve_encode_path(
+    EncodePath /*requested*/, std::size_t /*samples*/) noexcept {
+  return EncodePath::kMaterialized;
+}
 
 }  // namespace lehdc::hdc

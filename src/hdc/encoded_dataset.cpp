@@ -1,11 +1,8 @@
 #include "hdc/encoded_dataset.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "hdc/block_encoder.hpp"
-#include "obs/metrics.hpp"
-#include "obs/timer.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
@@ -34,60 +31,19 @@ EncodedDataset encode_dataset(const Encoder& encoder,
                               const data::Dataset& dataset) {
   util::expects(encoder.feature_count() == dataset.feature_count(),
                 "encoder/dataset feature width mismatch");
-  static obs::Counter& sample_counter =
-      obs::Registry::global().counter("encode.samples");
-  static obs::Histogram& block_hist =
-      obs::Registry::global().histogram("encode.block_seconds");
-
   const obs::TraceSpan span("encode.dataset");
   const std::size_t n = dataset.size();
   std::vector<hv::BitVector> encoded(n);
-  const auto* block_encoder = dynamic_cast<const BlockEncoder*>(&encoder);
-  if (block_encoder != nullptr && n > 0) {
-    // Block path: each worker drives a cursor over blocks of samples, so the
-    // item-memory words for a range are fetched (or rematerialized — the
-    // cursor resolves kAuto per block) once per block, not once per sample.
-    constexpr std::size_t kBlock = 64;
-    const std::size_t word_count = block_encoder->word_count();
-    const std::size_t blocks = (n + kBlock - 1) / kBlock;
-    util::parallel_for(0, blocks, [&](std::size_t lo, std::size_t hi) {
-      auto cursor = block_encoder->make_cursor(EncodePath::kAuto);
-      std::vector<std::uint64_t> range_buf;
-      for (std::size_t b = lo; b < hi; ++b) {
-        obs::ScopedTimer block_timer(block_hist);
-        const std::size_t begin = b * kBlock;
-        const std::size_t end = std::min(n, begin + kBlock);
-        const std::size_t count = end - begin;
-        for (std::size_t i = begin; i < end; ++i) {
-          encoded[i] = hv::BitVector(encoder.dim());
-        }
-        // Range-sized steps keep the cursor's item-memory working set
-        // cache-resident even though the destination hypervectors persist.
-        const std::size_t range_words =
-            block_range_words(encoder.feature_count(), word_count);
-        cursor->begin(dataset.rows(begin, count), count);
-        range_buf.resize(count * range_words);
-        std::size_t word_pos = 0;
-        while (const std::size_t produced =
-                   cursor->encode_words(range_words, range_buf)) {
-          for (std::size_t s = 0; s < count; ++s) {
-            std::memcpy(encoded[begin + s].words().data() + word_pos,
-                        range_buf.data() + s * produced,
-                        produced * sizeof(std::uint64_t));
-          }
-          word_pos += produced;
-        }
-      }
-    });
-  } else {
-    util::parallel_for(0, n, [&](std::size_t begin, std::size_t end) {
-      obs::ScopedTimer block_timer(block_hist);
-      for (std::size_t i = begin; i < end; ++i) {
-        encoded[i] = encoder.encode(dataset.sample(i));
-      }
-    });
-  }
-  sample_counter.add(n);
+  const std::size_t blocks =
+      (n + kEncodeBlockSamples - 1) / kEncodeBlockSamples;
+  util::parallel_for(0, blocks, [&](std::size_t lo, std::size_t hi) {
+    BlockEncodeWorker worker(encoder);
+    for (std::size_t b = lo; b < hi; ++b) {
+      const std::size_t begin = b * kEncodeBlockSamples;
+      const std::size_t count = std::min(n - begin, kEncodeBlockSamples);
+      worker.encode(dataset, begin, {encoded.data() + begin, count});
+    }
+  });
   EncodedDataset out(encoder.dim(), dataset.class_count());
   for (std::size_t i = 0; i < n; ++i) {
     out.add(std::move(encoded[i]), dataset.label(i));

@@ -47,8 +47,9 @@ class EncodedDataset {
   std::vector<int> labels_;
 };
 
-/// Encodes every sample of `dataset` with `encoder`, in parallel across the
-/// global thread pool. Preconditions: matching feature counts.
+/// Encodes every sample of `dataset` with `encoder`, one BlockEncodeWorker
+/// per worker of the global thread pool. Preconditions: matching feature
+/// counts.
 [[nodiscard]] EncodedDataset encode_dataset(const Encoder& encoder,
                                             const data::Dataset& dataset);
 

@@ -21,15 +21,13 @@ std::uint64_t stream_seed(std::uint64_t seed, std::uint64_t stream) {
   return mixer();
 }
 
-// The RecordEncoder block cursor. Per word range it gathers the position
-// words for every feature once — shared by all bound samples, which is what
-// makes rematerialization pay: the RNG replay cost is amortized over the
-// block — then per sample binds them against the level words and majority-
-// votes the range. All scratch is retained across begin() calls.
+// The RecordEncoder block cursor. Per word range it gathers the stored
+// position words for every feature once — shared by all bound samples —
+// then per sample binds them against the level words and majority-votes the
+// range. All scratch is retained across begin() calls.
 class RecordBlockCursor final : public BlockEncodeCursor {
  public:
-  RecordBlockCursor(const RecordEncoder& owner, EncodePath path)
-      : owner_(owner), requested_(path) {}
+  explicit RecordBlockCursor(const RecordEncoder& owner) : owner_(owner) {}
 
   void begin(std::span<const float> features, std::size_t count) override {
     const std::size_t n = owner_.feature_count();
@@ -42,17 +40,6 @@ class RecordBlockCursor final : public BlockEncodeCursor {
     for (std::size_t idx = 0; idx < features.size(); ++idx) {
       level_rows_[idx] =
           owner_.levels().for_value(features[idx]).words().data();
-    }
-    rematerialize_ =
-        resolve_encode_path(requested_, count) == EncodePath::kRematerialized;
-    if (rematerialize_) {
-      row_rngs_.clear();
-      row_rngs_.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        util::Rng rng;
-        rng.set_state(owner_.positions().row_state(i));
-        row_rngs_.push_back(rng);
-      }
     }
   }
 
@@ -67,32 +54,11 @@ class RecordBlockCursor final : public BlockEncodeCursor {
                   "block encode: output span too small");
     const std::size_t n = owner_.feature_count();
     position_words_.resize(n * produced);
-    if (rematerialize_) {
-      // Replay each row's stream in storage-word order; the draws continue
-      // exactly where the previous range left off. The tail word must be
-      // masked like BitVector::clear_tail does — the stored rows have zero
-      // bits past the dimension, the raw stream does not.
-      const std::size_t tail_bits = owner_.dim() % 64;
-      const bool mask_tail = word_pos_ + produced == total && tail_bits != 0;
-      const std::uint64_t tail_mask =
-          (std::uint64_t{1} << (tail_bits == 0 ? 1 : tail_bits)) - 1;
-      for (std::size_t i = 0; i < n; ++i) {
-        util::Rng& rng = row_rngs_[i];
-        std::uint64_t* dst = position_words_.data() + i * produced;
-        for (std::size_t w = 0; w < produced; ++w) {
-          dst[w] = rng.next();
-        }
-        if (mask_tail) {
-          dst[produced - 1] &= tail_mask;
-        }
-      }
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t* src =
-            owner_.positions().at(i).words().data() + word_pos_;
-        std::memcpy(position_words_.data() + i * produced, src,
-                    produced * sizeof(std::uint64_t));
-      }
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t* src =
+          owner_.positions().at(i).words().data() + word_pos_;
+      std::memcpy(position_words_.data() + i * produced, src,
+                  produced * sizeof(std::uint64_t));
     }
     // Bind, bundle and majority-vote the range of each sample in one pass
     // of the Harley–Seal kernel: position row i (stride `produced` in the
@@ -114,12 +80,9 @@ class RecordBlockCursor final : public BlockEncodeCursor {
 
  private:
   const RecordEncoder& owner_;
-  EncodePath requested_;
-  bool rematerialize_ = false;
   std::size_t count_ = 0;
   std::size_t word_pos_ = 0;
   std::vector<const std::uint64_t*> level_rows_;  // count × N level rows
-  std::vector<util::Rng> row_rngs_;               // N replay streams (remat)
   std::vector<std::uint64_t> position_words_;     // N × range scratch
 };
 }  // namespace
@@ -145,10 +108,9 @@ hv::BitVector RecordEncoder::encode(std::span<const float> features) const {
   util::expects(features.size() == feature_count(),
                 "encode: feature width mismatch");
   // Thin adapter over the block surface: a one-sample block, whole word
-  // range, streaming the stored rows (rematerialization only pays for
-  // blocks). Model IO and per-sample predict stay on this.
+  // range. Model IO and per-sample predict stay on this.
   hv::BitVector out(dim());
-  RecordBlockCursor cursor(*this, EncodePath::kMaterialized);
+  RecordBlockCursor cursor(*this);
   cursor.begin(features, 1);
   cursor.encode_words(word_count(), out.words());
   return out;
@@ -159,22 +121,16 @@ std::size_t RecordEncoder::word_count() const noexcept {
 }
 
 std::size_t RecordEncoder::encode_bytes_per_sample(
-    EncodePath path, std::size_t block_samples) const noexcept {
-  // The position memory is what each sample streams (the level memory is
-  // Q·D bits, cache-resident, identical on both paths). Rematerialization
-  // replaces the stream with scratch words shared by the whole block.
-  const std::size_t samples = block_samples == 0 ? 1 : block_samples;
+    std::size_t block_samples) const noexcept {
+  // The position memory is what a block gathers (the level memory is Q·D
+  // bits and cache-resident); every sample of the block shares the copy.
   const std::size_t position_bytes =
       feature_count() * word_count() * sizeof(std::uint64_t);
-  if (resolve_encode_path(path, samples) == EncodePath::kMaterialized) {
-    return position_bytes;
-  }
-  return position_bytes / samples;
+  return position_bytes / (block_samples == 0 ? 1 : block_samples);
 }
 
-std::unique_ptr<BlockEncodeCursor> RecordEncoder::make_cursor(
-    EncodePath path) const {
-  return std::make_unique<RecordBlockCursor>(*this, path);
+std::unique_ptr<BlockEncodeCursor> RecordEncoder::make_cursor() const {
+  return std::make_unique<RecordBlockCursor>(*this);
 }
 
 NgramEncoder::NgramEncoder(const NgramEncoderConfig& config)

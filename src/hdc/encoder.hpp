@@ -49,9 +49,9 @@ struct RecordEncoderConfig {
 /// Record-based encoder (Eq. 1): H = sgn(Σ_i 𝓕_i ∘ 𝓥_{f_i}).
 ///
 /// Also a BlockEncoder: its cursors encode sample blocks a word range at a
-/// time, binding either the stored position rows (materialized) or words
-/// replayed from PositionMemory::row_state (rematerialized) — both produce
-/// the exact bits of encode(), which is itself a one-sample cursor pass.
+/// time, gathering each range of the stored position rows once per block.
+/// They produce the exact bits of encode(), which is itself a one-sample
+/// cursor pass.
 class RecordEncoder final : public Encoder, public BlockEncoder {
  public:
   explicit RecordEncoder(const RecordEncoderConfig& config);
@@ -63,9 +63,9 @@ class RecordEncoder final : public Encoder, public BlockEncoder {
 
   [[nodiscard]] std::size_t word_count() const noexcept override;
   [[nodiscard]] std::size_t encode_bytes_per_sample(
-      EncodePath path, std::size_t block_samples) const noexcept override;
-  [[nodiscard]] std::unique_ptr<BlockEncodeCursor> make_cursor(
-      EncodePath path) const override;
+      std::size_t block_samples) const noexcept override;
+  [[nodiscard]] std::unique_ptr<BlockEncodeCursor> make_cursor()
+      const override;
 
   [[nodiscard]] const PositionMemory& positions() const noexcept {
     return positions_;

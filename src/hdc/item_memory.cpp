@@ -13,24 +13,12 @@ PositionMemory::PositionMemory(std::size_t feature_count, std::size_t dim,
   util::expects(feature_count > 0, "position memory needs >= 1 feature");
   util::expects(dim > 0, "position memory needs a positive dimension");
   util::Rng rng(seed);
-  // Same draw sequence as hv::random_set, with the generator state captured
-  // before each row so the row can be rematerialized later (see row_state).
-  items_.reserve(feature_count);
-  row_states_.reserve(feature_count);
-  for (std::size_t i = 0; i < feature_count; ++i) {
-    row_states_.push_back(rng.state());
-    items_.push_back(hv::BitVector::random(dim, rng));
-  }
+  items_ = hv::random_set(feature_count, dim, rng);
 }
 
 const hv::BitVector& PositionMemory::at(std::size_t i) const {
   util::expects(i < items_.size(), "feature position out of range");
   return items_[i];
-}
-
-const util::Rng::State& PositionMemory::row_state(std::size_t i) const {
-  util::expects(i < row_states_.size(), "feature position out of range");
-  return row_states_[i];
 }
 
 LevelMemory::LevelMemory(std::size_t levels, std::size_t dim, float lo,

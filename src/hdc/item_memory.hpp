@@ -20,11 +20,7 @@ namespace lehdc::hdc {
 /// Feature position codebook 𝓕.
 ///
 /// Rows are generated sequentially from one seeded stream, one rng.next()
-/// per packed storage word (BitVector::randomize). The generator state is
-/// snapshotted before each row, so any row's words can be *rematerialized*
-/// bit-identically later by replaying draws from its snapshot — the fused
-/// block-encode path regenerates position words on the fly from row_state()
-/// instead of streaming the stored rows from RAM.
+/// per packed storage word (BitVector::randomize).
 class PositionMemory {
  public:
   /// Generates `feature_count` independent random hypervectors.
@@ -37,15 +33,9 @@ class PositionMemory {
   /// Hypervector for feature position i. Precondition: i < size().
   [[nodiscard]] const hv::BitVector& at(std::size_t i) const;
 
-  /// Generator state captured immediately before row i was drawn. Replaying
-  /// word_count() next() calls from it (and masking the tail word) rebuilds
-  /// at(i)'s words exactly. Precondition: i < size().
-  [[nodiscard]] const util::Rng::State& row_state(std::size_t i) const;
-
  private:
   std::size_t dim_;
   std::vector<hv::BitVector> items_;
-  std::vector<util::Rng::State> row_states_;
 };
 
 /// Feature value codebook 𝓥 with a linear quantizer over [lo, hi].

@@ -4,9 +4,8 @@
 
 namespace lehdc::hdc {
 
-QueryBatch::QueryBatch(const data::Dataset& samples, const Encoder& encoder,
-                       EncodePath path)
-    : raw_(&samples), encoder_(&encoder), path_(path) {
+QueryBatch::QueryBatch(const data::Dataset& samples, const Encoder& encoder)
+    : raw_(&samples), encoder_(&encoder) {
   util::expects(samples.feature_count() == encoder.feature_count(),
                 "query batch: dataset/encoder feature count mismatch");
 }

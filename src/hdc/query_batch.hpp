@@ -1,9 +1,7 @@
 // The one batched-prediction input surface.
 //
-// Before this, batch prediction had three entry points per layer — raw
-// data::Dataset, std::span<const hv::BitVector>, EncodedDataset — each with
-// its own encode/score wiring, so the fused encode→score kernel would have
-// needed three call sites per layer. QueryBatch collapses them: a non-owning
+// Batch prediction takes three kinds of input — raw data::Dataset,
+// std::span<const hv::BitVector>, EncodedDataset. QueryBatch is a non-owning
 // view any of the three converts to implicitly, consumed by exactly one
 // predict entry point per layer (BatchScorer::predict_queries,
 // train::Model::predict_queries, Pipeline::predict_batch). The legacy
@@ -15,7 +13,6 @@
 #include <span>
 
 #include "data/dataset.hpp"
-#include "hdc/block_encoder.hpp"
 #include "hdc/encoded_dataset.hpp"
 #include "hv/bitvector.hpp"
 
@@ -23,8 +20,8 @@ namespace lehdc::hdc {
 
 /// Non-owning view over a batch of prediction inputs: either
 /// already-encoded hypervectors, or raw samples paired with the encoder to
-/// run them through (where the fused, never-materializing path applies).
-/// Everything referenced must outlive the view.
+/// run them through (block by block, see BlockEncodeWorker). Everything
+/// referenced must outlive the view.
 class QueryBatch {
  public:
   /// Already-encoded hypervectors.
@@ -34,10 +31,8 @@ class QueryBatch {
   QueryBatch(const EncodedDataset& dataset)
       : encoded_(dataset.hypervectors()) {}
 
-  /// Raw samples still to be encoded. `path` requests an item-memory
-  /// strategy; kAuto defers to resolve_encode_path at predict time.
-  QueryBatch(const data::Dataset& samples, const Encoder& encoder,
-             EncodePath path = EncodePath::kAuto);
+  /// Raw samples still to be encoded.
+  QueryBatch(const data::Dataset& samples, const Encoder& encoder);
 
   [[nodiscard]] std::size_t size() const noexcept {
     return raw_ != nullptr ? raw_->size() : encoded_.size();
@@ -55,13 +50,10 @@ class QueryBatch {
   [[nodiscard]] const data::Dataset& samples() const;
   [[nodiscard]] const Encoder& encoder() const;
 
-  [[nodiscard]] EncodePath path() const noexcept { return path_; }
-
  private:
   std::span<const hv::BitVector> encoded_{};
   const data::Dataset* raw_ = nullptr;
   const Encoder* encoder_ = nullptr;
-  EncodePath path_ = EncodePath::kAuto;
 };
 
 /// Per-stage cost accounting a predict_queries call can fill (pass nullptr
@@ -70,14 +62,11 @@ class QueryBatch {
 struct PredictStats {
   double encode_seconds = 0.0;
   double score_seconds = 0.0;
-  /// Item-memory bytes the encode stage streamed, totalled over the batch
-  /// (BlockEncoder::encode_bytes_per_sample × samples). 0 for pre-encoded
+  /// Item-memory bytes the encode stage gathered, totalled over the batch:
+  /// the N·W·8 position bytes once per encode block. 0 for pre-encoded
   /// batches.
   std::uint64_t encode_bytes = 0;
   std::uint64_t samples = 0;
-  /// Whether the encode stage ran rematerialized (false also for
-  /// pre-encoded batches).
-  bool rematerialized = false;
 };
 
 }  // namespace lehdc::hdc

@@ -240,25 +240,6 @@ void hamming_rows(const std::uint64_t* query,
   }
 }
 
-void hamming_rows_accumulate(const std::uint64_t* query,
-                             std::span<const std::uint64_t* const> rows,
-                             std::size_t words, std::span<std::size_t> inout) {
-  util::expects(inout.size() >= rows.size(),
-                "hamming_rows_accumulate output span too small");
-  const KernelTier& k = kernel_tier();
-  std::size_t partial[kRowBlock];
-  std::size_t r = 0;
-  for (; r + kRowBlock <= rows.size(); r += kRowBlock) {
-    k.hamming4(query, rows.data() + r, words, partial);
-    for (std::size_t i = 0; i < kRowBlock; ++i) {
-      inout[r + i] += partial[i];
-    }
-  }
-  for (; r < rows.size(); ++r) {
-    inout[r] += k.hamming(query, rows[r], words);
-  }
-}
-
 void dot_rows(const std::uint64_t* query,
               std::span<const std::uint64_t* const> rows, std::size_t dim,
               std::span<std::int64_t> out) {

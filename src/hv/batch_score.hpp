@@ -35,15 +35,6 @@ void hamming_rows(const std::uint64_t* query,
                   std::span<const std::uint64_t* const> rows,
                   std::size_t words, std::span<std::size_t> out);
 
-/// Partial-distance variant for the fused encode→score path: adds each
-/// row's Hamming distance over this word range into inout (+=). Callers
-/// sweep the word ranges of a block-encoded query, offsetting the row
-/// pointers per range, and read off full-dimension distances at the end.
-/// Precondition: inout.size() >= rows.size().
-void hamming_rows_accumulate(const std::uint64_t* query,
-                             std::span<const std::uint64_t* const> rows,
-                             std::size_t words, std::span<std::size_t> inout);
-
 /// Bipolar dot scores query·row_k = dim − 2·Hamming for K rows of logical
 /// dimension `dim`. out needs K slots.
 void dot_rows(const std::uint64_t* query,

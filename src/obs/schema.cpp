@@ -14,8 +14,6 @@ constexpr std::array kKnownNames = {
     // LINT-METRICS-BEGIN
     std::string_view{"encode.block_seconds"},
     std::string_view{"encode.bytes_per_sample"},
-    std::string_view{"encode.materialized_samples"},
-    std::string_view{"encode.rematerialized_samples"},
     std::string_view{"encode.samples"},
     std::string_view{"io.model_load_seconds"},
     std::string_view{"io.model_save_seconds"},

@@ -4,7 +4,7 @@
 // raw feature vectors and receive a std::future<Response>; one worker
 // thread amortizes queued requests into single-tenant micro-batches
 // (MicroBatcher flush policy, round-robin across tenants) and dispatches
-// each batch through Pipeline::predict_batch — the fused encode+score
+// each batch through Pipeline::predict_batch — the blocked encode+score
 // path — so served predictions are bit-identical to a direct batched call
 // on the same inputs. Admission control, per-request deadlines, typed
 // shedding and tenant fairness are the batcher's; this class adds the

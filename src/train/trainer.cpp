@@ -23,22 +23,17 @@ void Model::predict_queries(const hdc::QueryBatch& queries,
     }
     return;
   }
-  // Reference fallback for custom Model subclasses: per-sample encode, then
-  // the model's batch path. Classifier-backed models override with
-  // BatchScorer's blocked/fused raw paths.
-  const data::Dataset& dataset = queries.samples();
-  const hdc::Encoder& encoder = queries.encoder();
-  std::vector<hv::BitVector> encoded;
-  encoded.reserve(dataset.size());
+  // Custom Model subclasses: encode the whole batch through the shared
+  // block encode, then run the model's batch path. Classifier-backed models
+  // override this with BatchScorer's blocked path.
   const util::Stopwatch encode_watch;
-  for (std::size_t i = 0; i < dataset.size(); ++i) {
-    encoded.push_back(encoder.encode(dataset.sample(i)));
-  }
+  const hdc::EncodedDataset encoded =
+      hdc::encode_dataset(queries.encoder(), queries.samples());
   if (stats != nullptr) {
     stats->encode_seconds = encode_watch.elapsed_seconds();
   }
   const util::Stopwatch score_watch;
-  predict_batch(encoded, out);
+  predict_batch(encoded.hypervectors(), out);
   if (stats != nullptr) {
     stats->score_seconds = score_watch.elapsed_seconds();
   }

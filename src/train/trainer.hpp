@@ -33,9 +33,9 @@ class Model {
   /// THE batched prediction surface: classifies any hdc::QueryBatch view
   /// (already-encoded hypervectors, an EncodedDataset, or raw samples plus
   /// their encoder), bit-identically to per-sample encode + predict. The
-  /// classifier-backed models override it with hdc::BatchScorer's fused /
-  /// blocked paths; the default (for custom Model subclasses) encodes per
-  /// sample and routes through predict_batch. `stats` (optional) receives
+  /// classifier-backed models override it with hdc::BatchScorer's blocked
+  /// path; the default (for custom Model subclasses) encodes the batch with
+  /// hdc::encode_dataset and routes through predict_batch. `stats` (optional) receives
   /// per-stage seconds and encode bytes. Precondition:
   /// out.size() == queries.size().
   virtual void predict_queries(const hdc::QueryBatch& queries,

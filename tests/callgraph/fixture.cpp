@@ -9,7 +9,7 @@
 void counter_add_body() {
   do_alloc();  // line 10: operator new reachable from Counter::add
 
-void predict_fused_body() {
+void predict_blocked_body() {
   // lehdc-callgraph: allow(throw)
   do_throw();  // line 14: suppressed by the allow(throw) comment above
 

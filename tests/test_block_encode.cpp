@@ -1,17 +1,15 @@
-// Block-encode surface parity: the rematerialized item-memory path must be
-// bit-identical to the materialized one, the fused encode→score kernel must
-// be bit-identical to encode-then-score, and both invariants must hold at
-// paper scale (D = 10000), across odd word-range sizes, odd sample counts,
-// every classifier kind and every worker count.
+// Block-encode surface parity: the block cursor must reproduce per-sample
+// encode() bit for bit, raw-batch prediction through the shared block
+// encode must be bit-identical to encode-then-score, and both invariants
+// must hold at paper scale (D = 10000), across odd word-range sizes, odd
+// sample counts, every classifier kind and every worker count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <vector>
 
-#include "core/pipeline.hpp"
 #include "data/dataset.hpp"
-#include "data/synthetic.hpp"
 #include "hdc/batch_scorer.hpp"
 #include "hdc/block_encoder.hpp"
 #include "hdc/classifier.hpp"
@@ -20,6 +18,7 @@
 #include "hdc/query_batch.hpp"
 #include "hv/bitvector.hpp"
 #include "hv/intvector.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -103,21 +102,16 @@ TEST(BlockEncodeCursor, BothPathsMatchPerSampleEncodeAcrossShapes) {
       for (const std::size_t step :
            {std::size_t{1}, std::size_t{3}, std::size_t{7},
             encoder.word_count()}) {
-        for (const hdc::EncodePath path : {hdc::EncodePath::kMaterialized,
-                                           hdc::EncodePath::kRematerialized}) {
-          auto cursor = encoder.make_cursor(path);
-          cursor->begin(dataset.rows(0, count), count);
-          const auto words =
-              drain_cursor(*cursor, count, encoder.word_count(), step);
-          for (std::size_t s = 0; s < count; ++s) {
-            ASSERT_EQ(std::memcmp(words[s].data(),
-                                  expected[s].words().data(),
-                                  encoder.word_count() *
-                                      sizeof(std::uint64_t)),
-                      0)
-                << "dim=" << dim << " count=" << count << " step=" << step
-                << " path=" << static_cast<int>(path) << " sample=" << s;
-          }
+        auto cursor = encoder.make_cursor();
+        cursor->begin(dataset.rows(0, count), count);
+        const auto words =
+            drain_cursor(*cursor, count, encoder.word_count(), step);
+        for (std::size_t s = 0; s < count; ++s) {
+          ASSERT_EQ(std::memcmp(words[s].data(), expected[s].words().data(),
+                                encoder.word_count() * sizeof(std::uint64_t)),
+                    0)
+              << "dim=" << dim << " count=" << count << " step=" << step
+              << " sample=" << s;
         }
       }
     }
@@ -136,18 +130,15 @@ TEST(BlockEncodeCursor, PaperScaleDim10000Parity) {
   }
   const std::size_t range =
       hdc::block_range_words(encoder.feature_count(), encoder.word_count());
-  for (const hdc::EncodePath path : {hdc::EncodePath::kMaterialized,
-                                     hdc::EncodePath::kRematerialized}) {
-    auto cursor = encoder.make_cursor(path);
-    cursor->begin(dataset.rows(0, count), count);
-    const auto words = drain_cursor(*cursor, count, encoder.word_count(),
-                                    range);
-    for (std::size_t s = 0; s < count; ++s) {
-      ASSERT_EQ(std::memcmp(words[s].data(), expected[s].words().data(),
-                            encoder.word_count() * sizeof(std::uint64_t)),
-                0)
-          << "path=" << static_cast<int>(path) << " sample=" << s;
-    }
+  auto cursor = encoder.make_cursor();
+  cursor->begin(dataset.rows(0, count), count);
+  const auto words =
+      drain_cursor(*cursor, count, encoder.word_count(), range);
+  for (std::size_t s = 0; s < count; ++s) {
+    ASSERT_EQ(std::memcmp(words[s].data(), expected[s].words().data(),
+                          encoder.word_count() * sizeof(std::uint64_t)),
+              0)
+        << "sample=" << s;
   }
 }
 
@@ -155,7 +146,7 @@ TEST(BlockEncodeCursor, CursorIsReusableAcrossBlocks) {
   util::Rng rng(107);
   const auto encoder = make_encoder(320, 5);
   const auto dataset = random_dataset(40, 5, 2, rng);
-  auto cursor = encoder.make_cursor(hdc::EncodePath::kRematerialized);
+  auto cursor = encoder.make_cursor();
   for (const auto& [begin, count] :
        {std::pair<std::size_t, std::size_t>{0, 16},
         std::pair<std::size_t, std::size_t>{16, 3},
@@ -172,20 +163,7 @@ TEST(BlockEncodeCursor, CursorIsReusableAcrossBlocks) {
   }
 }
 
-// --------------------------------------------------- path resolution etc ---
-
-TEST(BlockEncode, ResolveEncodePathPassesNonAutoThrough) {
-  EXPECT_EQ(hdc::resolve_encode_path(hdc::EncodePath::kMaterialized, 1u << 20),
-            hdc::EncodePath::kMaterialized);
-  EXPECT_EQ(hdc::resolve_encode_path(hdc::EncodePath::kRematerialized, 1),
-            hdc::EncodePath::kRematerialized);
-  // kAuto must resolve to a concrete path either way (the concrete choice
-  // depends on LEHDC_ENCODE_PATH, so only "not kAuto" is portable).
-  EXPECT_NE(hdc::resolve_encode_path(hdc::EncodePath::kAuto, 1),
-            hdc::EncodePath::kAuto);
-  EXPECT_NE(hdc::resolve_encode_path(hdc::EncodePath::kAuto, 4096),
-            hdc::EncodePath::kAuto);
-}
+// ------------------------------------------------------- range sizing ---
 
 TEST(BlockEncode, BlockRangeWordsIsBoundedAndCacheSized) {
   // Never exceeds the hypervector, never below the 8-word floor (unless the
@@ -199,22 +177,9 @@ TEST(BlockEncode, BlockRangeWordsIsBoundedAndCacheSized) {
   EXPECT_EQ(hdc::block_range_words(0, 157), 157u);      // no div-by-zero
 }
 
-TEST(BlockEncode, RematerializedBytesPerSampleIsAmortized) {
-  const auto encoder = make_encoder(1000, 20);
-  const std::size_t materialized =
-      encoder.encode_bytes_per_sample(hdc::EncodePath::kMaterialized, 64);
-  const std::size_t rematerialized =
-      encoder.encode_bytes_per_sample(hdc::EncodePath::kRematerialized, 64);
-  // Materialized streams the whole position memory per sample.
-  EXPECT_EQ(materialized,
-            20u * encoder.word_count() * sizeof(std::uint64_t));
-  // Rematerialized regenerates it once per 64-sample block.
-  EXPECT_EQ(rematerialized, materialized / 64);
-}
+// ------------------------------------- raw batch vs encode-then-score ---
 
-// ------------------------------------------------ fused encode→score ------
-
-TEST(BatchScorerFused, BinaryFusedMatchesEncodeThenScore) {
+TEST(BlockEncodeScore, BinaryMatchesEncodeThenScore) {
   util::Rng rng(109);
   const std::size_t dim = 503;
   const auto encoder = make_encoder(dim, 9);
@@ -233,21 +198,14 @@ TEST(BatchScorerFused, BinaryFusedMatchesEncodeThenScore) {
       const hdc::BatchScorer scorer(classifier, &pool);
       std::vector<int> reference(batch, -1);
       scorer.predict_batch(encoded, reference);
-      for (const hdc::EncodePath path : {hdc::EncodePath::kMaterialized,
-                                         hdc::EncodePath::kRematerialized,
-                                         hdc::EncodePath::kAuto}) {
-        std::vector<int> fused(batch, -2);
-        scorer.predict_queries(hdc::QueryBatch(dataset, encoder, path),
-                               fused);
-        ASSERT_EQ(fused, reference)
-            << "batch=" << batch << " workers=" << workers
-            << " path=" << static_cast<int>(path);
-      }
+      std::vector<int> raw(batch, -2);
+      scorer.predict_queries(hdc::QueryBatch(dataset, encoder), raw);
+      ASSERT_EQ(raw, reference) << "batch=" << batch << " workers=" << workers;
     }
   }
 }
 
-TEST(BatchScorerFused, EnsembleFusedMatchesEncodeThenScore) {
+TEST(BlockEncodeScore, EnsembleMatchesEncodeThenScore) {
   util::Rng rng(113);
   const std::size_t dim = 777;
   const auto encoder = make_encoder(dim, 6);
@@ -266,18 +224,13 @@ TEST(BatchScorerFused, EnsembleFusedMatchesEncodeThenScore) {
     const hdc::BatchScorer scorer(classifier, &pool);
     std::vector<int> reference(dataset.size(), -1);
     scorer.predict_batch(encoded, reference);
-    std::vector<int> fused(dataset.size(), -2);
-    scorer.predict_queries(
-        hdc::QueryBatch(dataset, encoder, hdc::EncodePath::kRematerialized),
-        fused);
-    ASSERT_EQ(fused, reference) << "workers=" << workers;
+    std::vector<int> raw(dataset.size(), -2);
+    scorer.predict_queries(hdc::QueryBatch(dataset, encoder), raw);
+    ASSERT_EQ(raw, reference) << "workers=" << workers;
   }
 }
 
-TEST(BatchScorerFused, NonBinaryBlockedPathMatchesEncodeThenScore) {
-  // Cosine scoring needs the full query hypervector, so the non-binary kind
-  // takes the blocked (materialize-per-block) path — predictions must still
-  // be identical on every requested path.
+TEST(BlockEncodeScore, NonBinaryMatchesEncodeThenScore) {
   util::Rng rng(127);
   const std::size_t dim = 500;
   const auto encoder = make_encoder(dim, 8);
@@ -300,17 +253,13 @@ TEST(BatchScorerFused, NonBinaryBlockedPathMatchesEncodeThenScore) {
     const hdc::BatchScorer scorer(classifier, &pool);
     std::vector<int> reference(dataset.size(), -1);
     scorer.predict_batch(encoded, reference);
-    for (const hdc::EncodePath path : {hdc::EncodePath::kMaterialized,
-                                       hdc::EncodePath::kRematerialized}) {
-      std::vector<int> out(dataset.size(), -2);
-      scorer.predict_queries(hdc::QueryBatch(dataset, encoder, path), out);
-      ASSERT_EQ(out, reference)
-          << "workers=" << workers << " path=" << static_cast<int>(path);
-    }
+    std::vector<int> out(dataset.size(), -2);
+    scorer.predict_queries(hdc::QueryBatch(dataset, encoder), out);
+    ASSERT_EQ(out, reference) << "workers=" << workers;
   }
 }
 
-TEST(BatchScorerFused, PaperScaleFusedParity) {
+TEST(BlockEncodeScore, PaperScaleParity) {
   util::Rng rng(131);
   const std::size_t dim = 10000;
   const auto encoder = make_encoder(dim, 20);
@@ -323,11 +272,9 @@ TEST(BatchScorerFused, PaperScaleFusedParity) {
   const hdc::BatchScorer scorer(classifier);
   std::vector<int> reference(dataset.size(), -1);
   scorer.predict_batch(encoded, reference);
-  std::vector<int> fused(dataset.size(), -2);
-  scorer.predict_queries(
-      hdc::QueryBatch(dataset, encoder, hdc::EncodePath::kRematerialized),
-      fused);
-  EXPECT_EQ(fused, reference);
+  std::vector<int> raw(dataset.size(), -2);
+  scorer.predict_queries(hdc::QueryBatch(dataset, encoder), raw);
+  EXPECT_EQ(raw, reference);
 }
 
 TEST(BatchScorerFused, StatsAccountEncodeTraffic) {
@@ -338,27 +285,16 @@ TEST(BatchScorerFused, StatsAccountEncodeTraffic) {
   const hdc::BatchScorer scorer(classifier);
   const auto dataset = random_dataset(128, 16, 4, rng);
 
-  hdc::PredictStats remat;
+  hdc::PredictStats stats;
   std::vector<int> out(dataset.size());
-  scorer.predict_queries(
-      hdc::QueryBatch(dataset, encoder, hdc::EncodePath::kRematerialized),
-      out, &remat);
-  hdc::PredictStats mat;
-  scorer.predict_queries(
-      hdc::QueryBatch(dataset, encoder, hdc::EncodePath::kMaterialized), out,
-      &mat);
+  scorer.predict_queries(hdc::QueryBatch(dataset, encoder), out, &stats);
 
-  EXPECT_EQ(remat.samples, dataset.size());
-  EXPECT_EQ(mat.samples, dataset.size());
-  EXPECT_TRUE(remat.rematerialized);
-  EXPECT_FALSE(mat.rematerialized);
-  // Materialized streams N·W·8 bytes per sample; rematerialized streams it
-  // once per 64-sample block — 2 blocks of 64 here, so exactly 1/64th.
+  EXPECT_EQ(stats.samples, dataset.size());
+  // Each 64-sample block gathers the N·W·8 position bytes once — 2 blocks
+  // of 64 here.
   const std::uint64_t position_bytes =
       16u * encoder.word_count() * sizeof(std::uint64_t);
-  EXPECT_EQ(mat.encode_bytes, position_bytes * dataset.size());
-  EXPECT_EQ(remat.encode_bytes, position_bytes * 2);
-  EXPECT_LT(remat.encode_bytes, mat.encode_bytes);
+  EXPECT_EQ(stats.encode_bytes, position_bytes * 2);
 
   // Pre-encoded batches report no encode traffic.
   const auto queries = random_hvs(10, dim, rng);
@@ -366,8 +302,32 @@ TEST(BatchScorerFused, StatsAccountEncodeTraffic) {
   std::vector<int> pre_out(queries.size());
   scorer.predict_queries(hdc::QueryBatch(queries), pre_out, &pre);
   EXPECT_EQ(pre.encode_bytes, 0u);
-  EXPECT_FALSE(pre.rematerialized);
   EXPECT_EQ(pre.samples, queries.size());
+}
+
+TEST(BlockEncodeScore, RawPredictRecordsEncodeMetrics) {
+  util::Rng rng(149);
+  const std::size_t dim = 300;
+  const auto encoder = make_encoder(dim, 6);
+  const hdc::BinaryClassifier classifier(random_hvs(3, dim, rng));
+  const hdc::BatchScorer scorer(classifier);
+  const auto dataset = random_dataset(130, 6, 3, rng);
+
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  auto& registry = obs::Registry::global();
+  obs::Counter& samples = registry.counter("encode.samples");
+  obs::Histogram& blocks = registry.histogram("encode.block_seconds");
+  const std::uint64_t samples_before = samples.value();
+  const std::uint64_t blocks_before = blocks.count();
+  std::vector<int> out(dataset.size());
+  scorer.predict_queries(hdc::QueryBatch(dataset, encoder), out);
+  const std::uint64_t samples_added = samples.value() - samples_before;
+  const std::uint64_t blocks_added = blocks.count() - blocks_before;
+  obs::set_enabled(was_enabled);
+
+  EXPECT_EQ(samples_added, 130u);
+  EXPECT_EQ(blocks_added, 3u);  // blocks of 64, 64 and 2
 }
 
 // ------------------------------------------------- layered surfaces -------
@@ -385,41 +345,6 @@ TEST(BlockEncode, EncodeDatasetMatchesPerSampleEncode) {
           << "count=" << count << " i=" << i;
     }
   }
-}
-
-TEST(PipelineEncodePath, PredictionsIdenticalOnBothPaths) {
-  const auto split = data::generate_synthetic([] {
-    data::SyntheticConfig config;
-    config.feature_count = 10;
-    config.class_count = 4;
-    config.train_count = 100;
-    config.test_count = 90;
-    config.seed = 11;
-    return config;
-  }());
-  core::PipelineConfig config;
-  config.dim = 512;
-  config.strategy = core::Strategy::kBaseline;
-  config.encode_path = hdc::EncodePath::kMaterialized;
-  core::Pipeline materialized(config);
-  materialized.fit(split.train);
-  config.encode_path = hdc::EncodePath::kRematerialized;
-  core::Pipeline rematerialized(config);
-  rematerialized.fit(split.train);
-
-  const std::vector<int> a = materialized.predict_batch(split.test);
-  const std::vector<int> b = rematerialized.predict_batch(split.test);
-  EXPECT_EQ(a, b);
-  for (std::size_t i = 0; i < split.test.size(); ++i) {
-    ASSERT_EQ(a[i], materialized.predict(split.test.sample(i))) << "i=" << i;
-  }
-
-  const core::EvalResult mat_eval = materialized.evaluate(split.test);
-  const core::EvalResult remat_eval = rematerialized.evaluate(split.test);
-  EXPECT_EQ(mat_eval.accuracy, remat_eval.accuracy);
-  EXPECT_FALSE(mat_eval.rematerialized);
-  EXPECT_TRUE(remat_eval.rematerialized);
-  EXPECT_LT(remat_eval.encode_bytes, mat_eval.encode_bytes);
 }
 
 }  // namespace

@@ -9,7 +9,7 @@ the paths DESIGN.md promises are allocation-free and lock-free:
 
     obs record path        Counter::add / Gauge::set / Histogram::observe
     encode kernel          BlockEncodeCursor::encode_words implementations
-    score kernels          BatchScorer::predict_range / predict_fused
+    score kernels          BatchScorer::predict_range / predict_blocked
     admission              MicroBatcher::offer
     transport ingress      Connection::on_bytes
     feedback ingress       OnlineSidecar::offer_feedback
@@ -154,10 +154,10 @@ HOT_ENTRIES = [
         "allow": [],
     },
     {
-        "name": "score-fused",
-        "pattern": r"lehdc::hdc::BatchScorer::predict_fused",
+        "name": "score-blocked",
+        "pattern": r"lehdc::hdc::BatchScorer::predict_blocked",
         "rules": ("throw", "block"),
-        # The fused driver amortizes setup per *batch*: the chunking layer
+        # The raw-batch loop amortizes setup per *batch*: the chunking layer
         # (thread pool) and the per-chunk scratch acquisition lock and
         # allocate by design, which is why `alloc`/`lock` are not enforced
         # for the driver itself — predict_range above covers the per-query

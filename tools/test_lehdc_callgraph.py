@@ -60,8 +60,8 @@ def main() -> int:
     check("transitive lock violation found",
           "lehdc::serve::MicroBatcher::offer\tlock" in body
           and "grow_queue -> lehdc::util::Mutex::lock" in body, body)
-    check("inline allow(throw) suppresses predict_fused throw",
-          "predict_fused" not in body, body)
+    check("inline allow(throw) suppresses predict_blocked throw",
+          "predict_blocked" not in body, body)
     check("global allowlist (util::expects) raises nothing",
           "expects" not in body, body)
     check("per-entry allowlist (offer_feedback own mutex) raises nothing",
