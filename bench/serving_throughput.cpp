@@ -190,7 +190,6 @@ OpenLoopResult run_open_loop(serve::ModelRegistry& registry,
            static_cast<double>(schedule[next_arrival]) <= now_us) {
       serve::WireRequest request;
       request.id = next_arrival + 1;
-      request.version = 2;
       const auto features = queries.sample(next_arrival % queries.size());
       request.features.assign(features.begin(), features.end());
       clients[next_arrival % conns].outbuf +=

@@ -194,7 +194,7 @@ TransportScenarioResult run_transport_scenario(
       } else {
         ++slot.matched;
       }
-      if (frame.version == 2 && response.tenant != slot.tenant) {
+      if (response.tenant != slot.tenant) {
         ++result.bleed_errors;
       }
       if (response.ok()) {
@@ -307,7 +307,6 @@ TransportScenarioResult run_transport_scenario(
              slot.send_times[slot.next_send] <= t) {
         serve::WireRequest request;
         request.id = ++request_seq;
-        request.version = static_cast<int>(slot.next_send % 2) + 1;
         request.tenant = slot.tenant;
         request.deadline_budget_us = config.deadline_budget_us;
         request.features = features_of(

@@ -1,5 +1,6 @@
 #include "core/pipeline_io.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -79,6 +80,43 @@ void save_pipeline(const Pipeline& pipeline, const std::string& path) {
 
 namespace {
 
+/// Rejects an encoder config that RecordEncoder would refuse, or whose
+/// item memories would take more than kMaxPayload bytes, before anything
+/// is built from it: a CRC-valid bundle can still declare any value.
+void check_encoder_config(const hdc::RecordEncoderConfig& encoder_cfg,
+                          const PipelineConfig& cfg, const std::string& path) {
+  const auto reject = [&](const std::string& what) {
+    throw std::runtime_error(what + " in pipeline bundle: " + path);
+  };
+  const std::uint64_t dim = encoder_cfg.dim;
+  if (dim == 0 || dim != cfg.dim) {
+    reject("encoder/pipeline dimension mismatch");
+  }
+  if (encoder_cfg.feature_count == 0) {
+    reject("encoder with no features");
+  }
+  if (encoder_cfg.levels < 2 || encoder_cfg.levels > dim) {
+    reject("encoder level count outside [2, dim]");
+  }
+  if (!std::isfinite(encoder_cfg.range_lo) ||
+      !std::isfinite(encoder_cfg.range_hi) ||
+      !(encoder_cfg.range_lo < encoder_cfg.range_hi)) {
+    reject("encoder value range is not a finite lo < hi");
+  }
+  // Footprint: (feature_count + levels) stored rows of ceil(dim/64)
+  // words, plus the level set's dim-long shuffle permutation.
+  if (dim > kMaxPayload / sizeof(std::size_t)) {
+    reject("oversized encoder dimension");
+  }
+  const std::uint64_t row_bytes = ((dim + 63) / 64) * sizeof(std::uint64_t);
+  const std::uint64_t rows =
+      (kMaxPayload - dim * sizeof(std::size_t)) / row_bytes;
+  if (encoder_cfg.feature_count > rows ||
+      encoder_cfg.levels > rows - encoder_cfg.feature_count) {
+    reject("oversized encoder item memories");
+  }
+}
+
 Pipeline restore_from_reader(util::PayloadReader& reader,
                              const std::string& path) {
   PipelineConfig cfg;
@@ -99,50 +137,16 @@ Pipeline restore_from_reader(util::PayloadReader& reader,
   encoder_cfg.range_lo = reader.pod<float>();
   encoder_cfg.range_hi = reader.pod<float>();
   encoder_cfg.seed = reader.pod<std::uint64_t>();
+  check_encoder_config(encoder_cfg, cfg, path);
 
   const std::string_view blob = reader.rest();
   std::istringstream classifier_stream{std::string(blob), std::ios::binary};
   hdc::BinaryClassifier classifier =
       hdc::read_classifier(classifier_stream, path);
-  return Pipeline::restore(cfg, encoder_cfg, std::move(classifier));
-}
-
-Pipeline load_pipeline_v1(std::istream& in, const std::string& path) {
-  PipelineConfig cfg;
-  std::uint64_t dim = 0;
-  std::uint64_t levels = 0;
-  std::uint64_t seed = 0;
-  std::uint32_t strategy = 0;
-  read_pod(in, dim, path);
-  read_pod(in, levels, path);
-  read_pod(in, seed, path);
-  read_pod(in, strategy, path);
-  cfg.dim = dim;
-  cfg.levels = levels;
-  cfg.seed = seed;
-  if (strategy > static_cast<std::uint32_t>(Strategy::kLeHdc)) {
-    throw std::runtime_error("unknown strategy id in pipeline bundle: " +
-                             path);
+  if (classifier.dim() != cfg.dim) {
+    throw std::runtime_error(
+        "classifier/pipeline dimension mismatch in pipeline bundle: " + path);
   }
-  cfg.strategy = static_cast<Strategy>(strategy);
-
-  hdc::RecordEncoderConfig encoder_cfg;
-  std::uint64_t encoder_dim = 0;
-  std::uint64_t feature_count = 0;
-  std::uint64_t encoder_levels = 0;
-  std::uint64_t encoder_seed = 0;
-  read_pod(in, encoder_dim, path);
-  read_pod(in, feature_count, path);
-  read_pod(in, encoder_levels, path);
-  read_pod(in, encoder_cfg.range_lo, path);
-  read_pod(in, encoder_cfg.range_hi, path);
-  read_pod(in, encoder_seed, path);
-  encoder_cfg.dim = encoder_dim;
-  encoder_cfg.feature_count = feature_count;
-  encoder_cfg.levels = encoder_levels;
-  encoder_cfg.seed = encoder_seed;
-
-  hdc::BinaryClassifier classifier = hdc::read_classifier(in, path);
   return Pipeline::restore(cfg, encoder_cfg, std::move(classifier));
 }
 
@@ -163,9 +167,6 @@ Pipeline load_pipeline(const std::string& path) {
   }
   std::uint32_t version = 0;
   read_pod(in, version, path);
-  if (version == 1) {
-    return load_pipeline_v1(in, path);
-  }
   if (version != kVersion) {
     throw std::runtime_error("unsupported pipeline bundle version in " +
                              path);

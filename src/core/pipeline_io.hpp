@@ -10,8 +10,11 @@
 //   | encoder:  u64 dim, u64 feature_count, u64 levels, f32 lo, f32 hi,
 //               u64 seed
 //   | embedded LHDC classifier blob (hdc/model_io.hpp, itself checksummed)
-// Legacy v1 bundles (no framing) still load. Saves are atomic
-// (write-to-temp-then-rename) and always emit v2.
+// Only v2 loads; any other version, the unframed v1 included, and an
+// embedded classifier blob of any other version are a std::runtime_error.
+// The encoder config is validated (and its item-memory footprint capped)
+// before any item memory is built. Saves are atomic
+// (write-to-temp-then-rename).
 #pragma once
 
 #include <string>

@@ -67,32 +67,6 @@ hv::BitVector read_words(util::PayloadReader& reader, std::uint64_t dim) {
   return hv;
 }
 
-/// v1 (pre-checksum) classifier payload: read straight off the stream.
-BinaryClassifier read_classifier_v1(std::istream& in,
-                                    const std::string& context) {
-  std::uint64_t dim = 0;
-  std::uint64_t class_count = 0;
-  read_pod(in, dim, context);
-  read_pod(in, class_count, context);
-  if (dim == 0 || class_count == 0) {
-    throw std::runtime_error("degenerate model header in " + context);
-  }
-
-  std::vector<hv::BitVector> classes;
-  classes.reserve(class_count);
-  for (std::uint64_t k = 0; k < class_count; ++k) {
-    hv::BitVector hv(dim);
-    const auto words = hv.words();
-    in.read(reinterpret_cast<char*>(words.data()),
-            static_cast<std::streamsize>(words.size() * sizeof(words[0])));
-    if (!in) {
-      throw std::runtime_error("truncated model payload in " + context);
-    }
-    classes.push_back(std::move(hv));
-  }
-  return BinaryClassifier(std::move(classes));
-}
-
 }  // namespace
 
 void write_classifier(std::ostream& out, const BinaryClassifier& classifier) {
@@ -116,9 +90,6 @@ BinaryClassifier read_classifier(std::istream& in,
   }
   std::uint32_t version = 0;
   read_pod(in, version, context);
-  if (version == 1) {
-    return read_classifier_v1(in, context);
-  }
   if (version != kVersion) {
     throw std::runtime_error("unsupported model version in " + context);
   }
@@ -186,40 +157,6 @@ void save_ensemble(const EnsembleClassifier& classifier,
   util::atomic_write_file(path, buffer.view());
 }
 
-namespace {
-
-EnsembleClassifier read_ensemble_v1(std::istream& in,
-                                    const std::string& path) {
-  std::uint64_t dim = 0;
-  std::uint64_t classes = 0;
-  std::uint64_t per_class = 0;
-  read_pod(in, dim, path);
-  read_pod(in, classes, path);
-  read_pod(in, per_class, path);
-  if (dim == 0 || classes == 0 || per_class == 0) {
-    throw std::runtime_error("degenerate ensemble header in " + path);
-  }
-
-  std::vector<std::vector<hv::BitVector>> models(classes);
-  for (auto& class_models : models) {
-    class_models.reserve(per_class);
-    for (std::uint64_t m = 0; m < per_class; ++m) {
-      hv::BitVector hv(dim);
-      const auto words = hv.words();
-      in.read(
-          reinterpret_cast<char*>(words.data()),
-          static_cast<std::streamsize>(words.size() * sizeof(words[0])));
-      if (!in) {
-        throw std::runtime_error("truncated ensemble payload in " + path);
-      }
-      class_models.push_back(std::move(hv));
-    }
-  }
-  return EnsembleClassifier(std::move(models));
-}
-
-}  // namespace
-
 EnsembleClassifier load_ensemble(const std::string& path) {
   const obs::ScopedTimer io_timer(io_load_histogram());
   std::ifstream in(path, std::ios::binary);
@@ -234,9 +171,6 @@ EnsembleClassifier load_ensemble(const std::string& path) {
   }
   std::uint32_t version = 0;
   read_pod(in, version, path);
-  if (version == 1) {
-    return read_ensemble_v1(in, path);
-  }
   if (version != kVersion) {
     throw std::runtime_error("unsupported ensemble version in " + path);
   }

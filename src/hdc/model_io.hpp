@@ -9,9 +9,10 @@
 //   magic "LHDC" | u32 version | u64 payload_size | payload | u32 crc32
 //   payload := u64 dim | u64 class_count
 //              | per class: dim-bit packed payload (ceil(dim/64) u64 words)
-// Legacy v1 files (no size/CRC framing) still load; saves always emit v2
-// and are atomic: a crash mid-save never leaves a torn file at the target
-// path (write-to-temp-then-rename), and any later bit corruption of the
+// Only v2 loads: any other version, the unframed v1 included, is a
+// std::runtime_error before any header-sized allocation. Saves are
+// atomic: a crash mid-save never leaves a torn file at the target path
+// (write-to-temp-then-rename), and any later bit corruption of the
 // payload is detected at load time via the CRC.
 #pragma once
 

@@ -47,8 +47,8 @@ struct Response {
   /// Server-side end-to-end latency (enqueue to fulfilment) in seconds.
   double latency_seconds = 0.0;
   /// Tenant the request was routed to (the resolved id, never empty on a
-  /// served response). v2 response frames echo it on the wire so clients
-  /// can detect cross-tenant mixups; v1 frames drop it.
+  /// served response). Response frames echo it on the wire so clients can
+  /// detect cross-tenant mixups.
   std::string tenant;
 
   [[nodiscard]] bool ok() const noexcept { return error == Reject::kNone; }

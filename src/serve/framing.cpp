@@ -13,11 +13,10 @@ constexpr std::size_t kHeaderBytes = 8;  // 4-byte magic + u32 payload size
 
 }  // namespace
 
-FrameDecoder::FrameDecoder(const char magic_v1[4], const char magic_v2[4],
-                           std::string context, const char* magic_extra)
+FrameDecoder::FrameDecoder(const char magic[4], std::string context,
+                           const char* magic_extra)
     : context_(std::move(context)) {
-  std::memcpy(magic_v1_, magic_v1, sizeof(magic_v1_));
-  std::memcpy(magic_v2_, magic_v2, sizeof(magic_v2_));
+  std::memcpy(magic_, magic, sizeof(magic_));
   if (magic_extra != nullptr) {
     std::memcpy(magic_extra_, magic_extra, sizeof(magic_extra_));
     has_extra_ = true;
@@ -43,10 +42,8 @@ bool FrameDecoder::next(Frame* out) {
   }
   const char* header = buffer_.data() + pos_;
   int version = 0;
-  if (std::memcmp(header, magic_v1_, 4) == 0) {
-    version = 1;
-  } else if (std::memcmp(header, magic_v2_, 4) == 0) {
-    version = 2;
+  if (std::memcmp(header, magic_, 4) == 0) {
+    version = kWireVersion;
   } else if (has_extra_ && std::memcmp(header, magic_extra_, 4) == 0) {
     version = kFeedbackFrameKind;
   } else {
@@ -91,12 +88,11 @@ void FrameDecoder::reset() noexcept {
 }
 
 FrameDecoder make_request_decoder(std::string context) {
-  return {kRequestMagic, kRequestMagicV2, std::move(context),
-          kFeedbackMagicV2};
+  return {kRequestMagicV2, std::move(context), kFeedbackMagicV2};
 }
 
 FrameDecoder make_response_decoder(std::string context) {
-  return {kResponseMagic, kResponseMagicV2, std::move(context)};
+  return {kResponseMagicV2, std::move(context)};
 }
 
 void FrameEncoder::push(std::string frame) {

@@ -1,7 +1,7 @@
 // Incremental wire framing: the transport-agnostic half of the protocol.
 //
-// protocol.hpp defines the frame grammar (magic | u32 size | payload, two
-// live generations per direction); this header owns *delivery*: turning an
+// protocol.hpp defines the frame grammar (magic | u32 size | payload, one
+// magic per direction plus LSF2 feedback on the request stream); this header owns *delivery*: turning an
 // arbitrary sequence of partial reads into whole frames (FrameDecoder) and
 // a queue of whole frames into resumable partial writes (FrameEncoder).
 // Neither class assumes a blocking stream — the epoll event loop feeds the
@@ -26,24 +26,26 @@
 
 namespace lehdc::serve {
 
-/// Reassembles whole frames from partial reads. Accepts the two magics of
-/// one direction (request or response; see the factories below) and
-/// reports which generation each frame arrived as.
+/// Reassembles whole frames from partial reads. Accepts the magic of one
+/// direction (request or response; see the factories below), plus an
+/// optional extra magic, and reports which of the two each frame carried.
 class FrameDecoder {
  public:
   /// One complete frame. `payload` points into the decoder's buffer and
   /// is valid until the next feed()/next()/reset() call.
   struct Frame {
+    /// kWireVersion for the direction's magic, kFeedbackFrameKind for
+    /// the extra one.
     int version = 0;
     std::string_view payload;
   };
 
   /// `context` names the byte source for error messages. `magic_extra`
-  /// optionally accepts a third magic reported as version
+  /// optionally accepts a second magic reported as version
   /// kFeedbackFrameKind — the request direction carries LSF2 feedback
-  /// frames interleaved with LSRQ/LSR2 on the same stream.
-  FrameDecoder(const char magic_v1[4], const char magic_v2[4],
-               std::string context, const char* magic_extra = nullptr);
+  /// frames interleaved with LSR2 on the same stream.
+  FrameDecoder(const char magic[4], std::string context,
+               const char* magic_extra = nullptr);
 
   /// Appends raw bytes from the transport. The decoder never rejects a
   /// feed; validation happens in next() at frame-header granularity.
@@ -70,8 +72,7 @@ class FrameDecoder {
   void reset() noexcept;
 
  private:
-  char magic_v1_[4];
-  char magic_v2_[4];
+  char magic_[4];
   char magic_extra_[4];
   bool has_extra_ = false;
   std::string context_;
@@ -81,10 +82,10 @@ class FrameDecoder {
   std::size_t pos_ = 0;
 };
 
-/// Decoder for request frames (LSRQ / LSR2), plus LSF2 feedback frames
+/// Decoder for request frames (LSR2), plus LSF2 feedback frames
 /// reported as version kFeedbackFrameKind.
 [[nodiscard]] FrameDecoder make_request_decoder(std::string context);
-/// Decoder for response frames (LSRS / LSS2).
+/// Decoder for response frames (LSS2).
 [[nodiscard]] FrameDecoder make_response_decoder(std::string context);
 
 /// Write-side backlog with short-write resume. Whole encoded frames go in

@@ -1,6 +1,5 @@
 #include "serve/protocol.hpp"
 
-#include <cstring>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -23,18 +22,17 @@ std::string frame(const char magic[4], const util::PayloadWriter& payload) {
   return out;
 }
 
-/// Reads one frame body into `payload`, accepting either of the two
-/// magics and reporting which matched via `*version` (1 or 2). Returns
-/// false on clean EOF before any header byte; throws on everything else
-/// that is not a whole frame. Runs the incremental FrameDecoder with
-/// exact-sized reads (bytes_needed()), so the blocking readers and the
-/// event loop share one framing state machine — and the stream is left at
-/// the following frame boundary, never over-read.
-bool read_frame(std::istream& in, const char magic_v1[4],
-                const char magic_v2[4], int* version, std::string* payload,
-                const std::string& context,
+/// Reads one frame body into `payload`, reporting which magic matched via
+/// `*version` (kWireVersion, or kFeedbackFrameKind for `magic_extra`).
+/// Returns false on clean EOF before any header byte; throws on
+/// everything else that is not a whole frame. Runs the incremental
+/// FrameDecoder with exact-sized reads (bytes_needed()), so the blocking
+/// readers and the event loop share one framing state machine — and the
+/// stream is left at the following frame boundary, never over-read.
+bool read_frame(std::istream& in, const char magic[4], int* version,
+                std::string* payload, const std::string& context,
                 const char* magic_extra = nullptr) {
-  FrameDecoder decoder(magic_v1, magic_v2, context, magic_extra);
+  FrameDecoder decoder(magic, context, magic_extra);
   char header[8];
   in.read(header, sizeof(header));
   if (in.gcount() == 0 && in.eof()) {
@@ -62,7 +60,7 @@ bool read_frame(std::istream& in, const char magic_v1[4],
 }
 
 void check_version(int version, const std::string& context) {
-  if (version != 1 && version != 2) {
+  if (version != kWireVersion) {
     throw std::runtime_error("unknown frame version " +
                              std::to_string(version) + " in " + context);
   }
@@ -78,18 +76,7 @@ void check_tenant(const std::string& tenant, const std::string& context) {
 
 }  // namespace
 
-int request_frame_version(const char magic[4]) noexcept {
-  if (std::memcmp(magic, kRequestMagic, 4) == 0) {
-    return 1;
-  }
-  if (std::memcmp(magic, kRequestMagicV2, 4) == 0) {
-    return 2;
-  }
-  return 0;
-}
-
 std::string encode_request(const WireRequest& request) {
-  check_version(request.version, "encode_request");
   check_tenant(request.tenant, "encode_request");
   util::PayloadWriter payload;
   payload.pod<std::uint64_t>(request.id);
@@ -101,8 +88,7 @@ std::string encode_request(const WireRequest& request) {
       static_cast<std::uint32_t>(request.features.size()));
   payload.bytes(request.features.data(),
                 request.features.size() * sizeof(float));
-  return frame(request.version == 1 ? kRequestMagic : kRequestMagicV2,
-               payload);
+  return frame(kRequestMagicV2, payload);
 }
 
 std::string encode_feedback(const WireFeedback& feedback) {
@@ -116,18 +102,14 @@ std::string encode_feedback(const WireFeedback& feedback) {
   return frame(kFeedbackMagicV2, payload);
 }
 
-std::string encode_response(const Response& response, int version) {
-  check_version(version, "encode_response");
+std::string encode_response(const Response& response) {
+  check_tenant(response.tenant, "encode_response");
   util::PayloadWriter payload;
   payload.pod<std::uint64_t>(response.id);
   payload.pod<std::uint8_t>(static_cast<std::uint8_t>(response.error));
   payload.pod<std::int32_t>(response.label);
   payload.pod<std::uint32_t>(response.batch_size);
   payload.pod<double>(response.latency_seconds);
-  if (version == 1) {
-    return frame(kResponseMagic, payload);
-  }
-  check_tenant(response.tenant, "encode_response");
   payload.pod<std::uint16_t>(
       static_cast<std::uint16_t>(response.tenant.size()));
   payload.bytes(response.tenant.data(), response.tenant.size());
@@ -139,7 +121,6 @@ WireRequest decode_request_payload(std::string_view payload, int version,
   check_version(version, context);
   util::PayloadReader reader(payload, context);
   WireRequest request;
-  request.version = version;
   request.id = reader.pod<std::uint64_t>();
   request.deadline_budget_us = reader.pod<std::uint64_t>();
   const auto tenant_length = reader.pod<std::uint16_t>();
@@ -176,15 +157,13 @@ Response decode_response_payload(std::string_view payload, int version,
   response.label = reader.pod<std::int32_t>();
   response.batch_size = reader.pod<std::uint32_t>();
   response.latency_seconds = reader.pod<double>();
-  if (version == 2) {
-    const auto tenant_length = reader.pod<std::uint16_t>();
-    if (tenant_length > kMaxTenantIdBytes) {
-      throw std::runtime_error("oversized tenant id in " + context);
-    }
-    response.tenant.resize(tenant_length);
-    reader.bytes(response.tenant.data(), tenant_length);
-    check_tenant(response.tenant, context);
+  const auto tenant_length = reader.pod<std::uint16_t>();
+  if (tenant_length > kMaxTenantIdBytes) {
+    throw std::runtime_error("oversized tenant id in " + context);
   }
+  response.tenant.resize(tenant_length);
+  reader.bytes(response.tenant.data(), tenant_length);
+  check_tenant(response.tenant, context);
   reader.expect_done();
   return response;
 }
@@ -210,8 +189,7 @@ bool read_request(std::istream& in, WireRequest* out,
                   const std::string& context) {
   std::string payload;
   int version = 0;
-  if (!read_frame(in, kRequestMagic, kRequestMagicV2, &version, &payload,
-                  context)) {
+  if (!read_frame(in, kRequestMagicV2, &version, &payload, context)) {
     return false;
   }
   *out = decode_request_payload(payload, version, context);
@@ -222,8 +200,8 @@ bool read_client_frame(std::istream& in, ClientFrame* out,
                        const std::string& context) {
   std::string payload;
   int version = 0;
-  if (!read_frame(in, kRequestMagic, kRequestMagicV2, &version, &payload,
-                  context, kFeedbackMagicV2)) {
+  if (!read_frame(in, kRequestMagicV2, &version, &payload, context,
+                  kFeedbackMagicV2)) {
     return false;
   }
   out->kind = version;
@@ -239,8 +217,7 @@ bool read_response(std::istream& in, Response* out,
                    const std::string& context) {
   std::string payload;
   int version = 0;
-  if (!read_frame(in, kResponseMagic, kResponseMagicV2, &version, &payload,
-                  context)) {
+  if (!read_frame(in, kResponseMagicV2, &version, &payload, context)) {
     return false;
   }
   *out = decode_response_payload(payload, version, context);
@@ -254,9 +231,8 @@ void write_request(std::ostream& out, const WireRequest& request) {
   }
 }
 
-void write_response(std::ostream& out, const Response& response,
-                    int version) {
-  const std::string bytes = encode_response(response, version);
+void write_response(std::ostream& out, const Response& response) {
+  const std::string bytes = encode_response(response);
   if (!out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()))) {
     throw std::runtime_error("failed to write response frame");
   }

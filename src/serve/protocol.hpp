@@ -4,30 +4,26 @@
 //
 //   magic (4 bytes) | u32 payload_size | payload
 //
-// The magic doubles as the frame version. Two generations are live:
+// Each magic names one frame kind of the single live generation:
 //
-//   v1 "LSRQ" request payload :=
+//   "LSR2" request payload :=
 //     u64 id | u64 deadline_budget_us | u16 tenant_length
 //     | tenant bytes | u32 feature_count | f32[feature_count]
-//   v1 "LSRS" response payload :=
+//   "LSS2" response payload :=
 //     u64 id | u8 status (serve::Reject) | i32 label | u32 batch_size
-//     | f64 latency_seconds
-//   v2 "LSR2" request payload := identical to v1 (the tenant field *is*
-//     the v1 model-name slot, formalized)
-//   v2 "LSS2" response payload := the v1 layout followed by
-//     u16 tenant_length | tenant bytes — the server echoes the tenant it
-//     routed to, so clients can detect cross-tenant mixups on the wire.
-//   v2 "LSF2" feedback payload :=
+//     | f64 latency_seconds | u16 tenant_length | tenant bytes — the
+//     server echoes the tenant it routed to, so clients can detect
+//     cross-tenant mixups on the wire.
+//   "LSF2" feedback payload :=
 //     u64 id | u16 tenant_length | tenant bytes | i32 label — the true
 //     label for an earlier prediction, correlated by (tenant, id);
 //     acknowledged with a normal response frame (status kNone or
 //     kUnknownCorrelation, label -1).
 //
-// Decoders accept both generations and record which one arrived in
-// WireRequest::version / Response (responses are echoed at the request's
-// version, so a v1 client never sees bytes it cannot parse). An empty
-// tenant routes to the server's default tenant; a non-empty tenant must
-// satisfy valid_tenant_id() or the frame is rejected as malformed.
+// Any other magic, the retired first-generation ones included, is a
+// typed "bad frame magic" error. An empty tenant routes to the server's default
+// tenant; a non-empty tenant must satisfy valid_tenant_id() or the frame
+// is rejected as malformed.
 //
 // Integers are little-endian (the library's serial.hpp convention). The
 // deadline travels as a *budget* relative to server receipt — absolute
@@ -48,38 +44,33 @@
 
 namespace lehdc::serve {
 
-inline constexpr char kRequestMagic[4] = {'L', 'S', 'R', 'Q'};
-inline constexpr char kResponseMagic[4] = {'L', 'S', 'R', 'S'};
 inline constexpr char kRequestMagicV2[4] = {'L', 'S', 'R', '2'};
 inline constexpr char kResponseMagicV2[4] = {'L', 'S', 'S', '2'};
 inline constexpr char kFeedbackMagicV2[4] = {'L', 'S', 'F', '2'};
 
+/// Generation stamped on every request and response frame
+/// (FrameDecoder::Frame::version); the payload decoders reject any other.
+inline constexpr int kWireVersion = 2;
+
 /// FrameDecoder::Frame::version value for an LSF2 feedback frame on the
-/// request stream (1 and 2 are the request generations).
+/// request stream.
 inline constexpr int kFeedbackFrameKind = 3;
 
 /// Upper bound on a frame payload (16 MiB ≈ 4M float features) — an
 /// admission check against hostile length prefixes.
 inline constexpr std::uint32_t kMaxPayloadBytes = 16u * 1024u * 1024u;
 
-/// Frame version carried by a request magic: 1 for "LSRQ", 2 for "LSR2",
-/// 0 when the magic matches neither.
-[[nodiscard]] int request_frame_version(const char magic[4]) noexcept;
-
 struct WireRequest {
   std::uint64_t id = 0;
   /// Microseconds the client grants from server receipt; 0 = no deadline.
   std::uint64_t deadline_budget_us = 0;
-  /// Target tenant id; empty selects the server's default tenant. (In v1
-  /// frames this is the model-name slot — same bytes, same routing.)
+  /// Target tenant id; empty selects the server's default tenant.
   std::string tenant;
   std::vector<float> features;
-  /// Frame generation this request arrived as (or should be emitted as).
-  int version = 2;
 };
 
-/// Label feedback for an earlier prediction. Travels client→server as a
-/// v2-only "LSF2" frame interleaved with requests on the same stream:
+/// Label feedback for an earlier prediction. Travels client→server as an
+/// "LSF2" frame interleaved with requests on the same stream:
 ///
 ///   LSF2 payload := u64 id | u16 tenant_length | tenant bytes | i32 label
 ///
@@ -97,16 +88,15 @@ struct WireFeedback {
   std::int32_t label = 0;
 };
 
-/// Serializes one complete frame (header + payload) at the message's
-/// recorded version.
+/// Serializes one complete frame (header + payload).
 [[nodiscard]] std::string encode_request(const WireRequest& request);
-[[nodiscard]] std::string encode_response(const Response& response,
-                                          int version = 2);
+[[nodiscard]] std::string encode_response(const Response& response);
 [[nodiscard]] std::string encode_feedback(const WireFeedback& feedback);
 
-/// Parses a frame payload (the bytes after the length prefix). `context`
-/// names the source for error messages. Throws std::runtime_error on a
-/// malformed payload.
+/// Parses a frame payload (the bytes after the length prefix). `version`
+/// is the FrameDecoder::Frame::version it arrived as and must be
+/// kWireVersion. `context` names the source for error messages. Throws
+/// std::runtime_error on a malformed payload or any other version.
 [[nodiscard]] WireRequest decode_request_payload(std::string_view payload,
                                                  int version,
                                                  const std::string& context);
@@ -119,7 +109,8 @@ struct WireFeedback {
 /// One inbound message on the request stream: a request frame or a
 /// feedback frame (clients interleave both on one connection).
 struct ClientFrame {
-  /// kFeedbackFrameKind selects `feedback`; 1 or 2 select `request`.
+  /// kFeedbackFrameKind selects `feedback`; kWireVersion selects
+  /// `request`.
   int kind = 0;
   WireRequest request;
   WireFeedback feedback;
@@ -129,10 +120,9 @@ struct ClientFrame {
   }
 };
 
-/// Reads one frame from a stream, accepting either protocol generation.
-/// Returns false on clean EOF at a frame boundary; throws
-/// std::runtime_error on a bad magic, an oversized length, or EOF
-/// mid-frame.
+/// Reads one frame from a stream. Returns false on clean EOF at a frame
+/// boundary; throws std::runtime_error on a bad magic, an oversized
+/// length, or EOF mid-frame.
 bool read_request(std::istream& in, WireRequest* out,
                   const std::string& context);
 bool read_response(std::istream& in, Response* out,
@@ -143,10 +133,8 @@ bool read_client_frame(std::istream& in, ClientFrame* out,
                        const std::string& context);
 
 /// Writes one frame; throws std::runtime_error when the stream fails.
-/// Responses are written at `version` (echo the request's version).
 void write_request(std::ostream& out, const WireRequest& request);
-void write_response(std::ostream& out, const Response& response,
-                    int version = 2);
+void write_response(std::ostream& out, const Response& response);
 void write_feedback(std::ostream& out, const WireFeedback& feedback);
 
 }  // namespace lehdc::serve

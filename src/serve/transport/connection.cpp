@@ -80,11 +80,9 @@ void Connection::decode_pending(std::uint64_t now_us) {
     const std::uint64_t deadline_us =
         request.deadline_budget_us == 0 ? 0
                                         : now_us + request.deadline_budget_us;
-    Inflight entry;
-    entry.version = request.version;
-    entry.future = server_.submit(std::move(request.features), deadline_us,
-                                  request.tenant, request.id);
-    inflight_.push_back(std::move(entry));
+    inflight_.push_back(server_.submit(std::move(request.features),
+                                       deadline_us, request.tenant,
+                                       request.id));
   }
 }
 
@@ -103,10 +101,7 @@ void Connection::shed(const WireRequest& request) {
   // already-ready future) so responses never leave out of request order.
   std::promise<Response> promise;
   promise.set_value(std::move(response));
-  Inflight entry;
-  entry.version = request.version;
-  entry.future = promise.get_future();
-  inflight_.push_back(std::move(entry));
+  inflight_.push_back(promise.get_future());
 }
 
 void Connection::acknowledge_feedback(const WireFeedback& feedback) {
@@ -131,14 +126,10 @@ void Connection::acknowledge_feedback(const WireFeedback& feedback) {
   }
   // The ack travels through the in-flight FIFO as an already-ready future
   // (the shed() pattern), preserving per-connection response order
-  // between acks and in-flight predictions. LSF2 is v2-only, so the ack
-  // is always an LSS2 frame.
+  // between acks and in-flight predictions.
   std::promise<Response> promise;
   promise.set_value(std::move(ack));
-  Inflight entry;
-  entry.version = 2;
-  entry.future = promise.get_future();
-  inflight_.push_back(std::move(entry));
+  inflight_.push_back(promise.get_future());
 }
 
 std::size_t Connection::pump_responses(std::uint64_t now_us) {
@@ -149,11 +140,11 @@ std::size_t Connection::pump_responses(std::uint64_t now_us) {
   // Strictly front-first: a ready later response waits behind a pending
   // earlier one, preserving per-connection request order on the wire.
   while (!inflight_.empty() &&
-         inflight_.front().future.wait_for(std::chrono::seconds(0)) ==
+         inflight_.front().wait_for(std::chrono::seconds(0)) ==
              std::future_status::ready) {
-    Inflight entry = std::move(inflight_.front());
+    std::future<Response> ready = std::move(inflight_.front());
     inflight_.pop_front();
-    encoder_.push(encode_response(entry.future.get(), entry.version));
+    encoder_.push(encode_response(ready.get()));
     ++responses_sent_;
     ++encoded;
   }

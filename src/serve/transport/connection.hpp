@@ -162,17 +162,12 @@ class Connection {
   /// feedback acks never overtake earlier in-flight responses.
   void acknowledge_feedback(const WireFeedback& feedback);
 
-  struct Inflight {
-    std::future<Response> future;
-    int version = 0;
-  };
-
   std::uint64_t id_;
   InferenceServer& server_;
   ConnectionConfig config_;
   FrameDecoder decoder_;
   FrameEncoder encoder_;
-  std::deque<Inflight> inflight_;
+  std::deque<std::future<Response>> inflight_;
   std::uint64_t last_activity_us_;
   std::uint64_t bytes_read_ = 0;
   std::uint64_t bytes_written_ = 0;

@@ -9,8 +9,7 @@
 // computed before any byte hits disk) and parsed with PayloadReader (which
 // bounds-checks every read and reports the offending offset). Integers are
 // written little-endian via memcpy of the native representation; the
-// library targets little-endian platforms, matching the pre-existing v1
-// formats.
+// library targets little-endian platforms.
 #pragma once
 
 #include <cstring>

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 
 #include "util/fileio.hpp"
 #include "util/rng.hpp"
@@ -171,34 +172,39 @@ TEST(ModelIo, CrcValidButInconsistentHeaderThrows) {
   std::remove(path.c_str());
 }
 
-TEST(ModelIo, LegacyV1FileStillLoads) {
-  // Hand-write the pre-checksum v1 layout: magic | u32 1 | u64 dim |
-  // u64 classes | packed words. Old artifacts must keep loading.
-  const auto path = temp_path("legacy.lhdc");
-  const BinaryClassifier original = make_classifier(3, 200, 9);
+/// Writes `magic` | u32 1 | `header` — the unframed v1 layout, whose
+/// header fields were trusted as-is — and expects the load to fail as an
+/// unsupported version. The header declares 2^62-bit vectors, so any
+/// attempt to allocate from it would escape as std::bad_alloc or
+/// std::length_error, not std::runtime_error.
+template <typename Load>
+void expect_v1_rejected(const std::string& path, const char* magic,
+                        std::initializer_list<std::uint64_t> header,
+                        Load load) {
   {
     std::ofstream out(path, std::ios::binary);
-    out << "LHDC";
+    out << magic;
     const std::uint32_t version = 1;
     out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-    const std::uint64_t dim = original.dim();
-    const std::uint64_t classes = original.class_count();
-    out.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
-    out.write(reinterpret_cast<const char*>(&classes), sizeof(classes));
-    for (std::size_t k = 0; k < original.class_count(); ++k) {
-      const auto words = original.class_hypervector(k).words();
-      out.write(reinterpret_cast<const char*>(words.data()),
-                static_cast<std::streamsize>(words.size() *
-                                             sizeof(words[0])));
+    for (const std::uint64_t field : header) {
+      out.write(reinterpret_cast<const char*>(&field), sizeof(field));
     }
   }
-  const BinaryClassifier loaded = load_classifier(path);
-  ASSERT_EQ(loaded.class_count(), original.class_count());
-  ASSERT_EQ(loaded.dim(), original.dim());
-  for (std::size_t k = 0; k < original.class_count(); ++k) {
-    EXPECT_EQ(loaded.class_hypervector(k), original.class_hypervector(k));
+  try {
+    (void)load(path);
+    FAIL() << "version-1 " << magic << " file loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported"), std::string::npos)
+        << e.what();
   }
   std::remove(path.c_str());
+}
+
+TEST(ModelIo, V1FileIsRejected) {
+  // v1 classifier header: u64 dim | u64 class_count.
+  expect_v1_rejected(temp_path("legacy.lhdc"), "LHDC",
+                     {std::uint64_t{1} << 62, 3},
+                     [](const std::string& p) { return load_classifier(p); });
 }
 
 TEST(ModelIo, SaveLeavesNoTemporaryFile) {
@@ -243,32 +249,11 @@ TEST(EnsembleIo, SingleFlippedPayloadBitThrows) {
   std::remove(path.c_str());
 }
 
-TEST(EnsembleIo, LegacyV1FileStillLoads) {
-  const auto path = temp_path("legacy.lhde");
-  const EnsembleClassifier original = make_ensemble(2, 3, 128, 13);
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "LHDE";
-    const std::uint32_t version = 1;
-    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-    const std::uint64_t dim = 128;
-    const std::uint64_t classes = 2;
-    const std::uint64_t per_class = 3;
-    out.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
-    out.write(reinterpret_cast<const char*>(&classes), sizeof(classes));
-    out.write(reinterpret_cast<const char*>(&per_class), sizeof(per_class));
-    for (const auto& class_models : original.models()) {
-      for (const auto& model : class_models) {
-        const auto words = model.words();
-        out.write(reinterpret_cast<const char*>(words.data()),
-                  static_cast<std::streamsize>(words.size() *
-                                               sizeof(words[0])));
-      }
-    }
-  }
-  const EnsembleClassifier loaded = load_ensemble(path);
-  EXPECT_EQ(loaded.models(), original.models());
-  std::remove(path.c_str());
+TEST(EnsembleIo, V1FileIsRejected) {
+  // v1 ensemble header: u64 dim | u64 classes | u64 models_per_class.
+  expect_v1_rejected(temp_path("legacy.lhde"), "LHDE",
+                     {std::uint64_t{1} << 62, 2, 3},
+                     [](const std::string& p) { return load_ensemble(p); });
 }
 
 }  // namespace

@@ -3,9 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <limits>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
+#include "core/pipeline_io.hpp"
 #include "data/synthetic.hpp"
+#include "util/fileio.hpp"
+#include "util/serial.hpp"
 
 namespace lehdc::core {
 namespace {
@@ -179,6 +188,149 @@ TEST(Pipeline, LeHdcSharesEncoderWithBaseline) {
           .encode(sample),
       dynamic_cast<const hdc::RecordEncoder&>(lehdc.encoder())
           .encode(sample));
+}
+
+// ------------------------------------------------- bundle header checks --
+
+/// Every field of a hand-framed LHDP bundle. The defaults load; each test
+/// breaks one field, so the field (not the harness) causes the rejection.
+struct BundleFields {
+  std::uint32_t bundle_version = 2;
+  std::uint64_t dim = 128;
+  std::uint64_t encoder_dim = 128;
+  std::uint64_t feature_count = 4;
+  std::uint64_t levels = 8;
+  float range_lo = 0.0f;
+  float range_hi = 1.0f;
+  std::uint32_t classifier_version = 2;
+  std::uint64_t classifier_dim = 128;
+};
+
+/// `magic` | u32 version | framed payload: the checksummed container
+/// layout, with a CRC that matches whatever the payload declares.
+std::string framed(const char* magic, std::uint32_t version,
+                   const std::string& payload) {
+  std::ostringstream out(std::ios::binary);
+  out.write(magic, 4);
+  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  util::write_framed_payload(out, payload);
+  return out.str();
+}
+
+std::string write_bundle(const BundleFields& f, const std::string& name) {
+  util::PayloadWriter classifier;
+  classifier.pod<std::uint64_t>(f.classifier_dim);
+  classifier.pod<std::uint64_t>(2);  // class_count
+  const std::string words(2 * ((f.classifier_dim + 63) / 64) * 8, '\x5a');
+  classifier.bytes(words.data(), words.size());
+  const std::string blob =
+      framed("LHDC", f.classifier_version, classifier.str());
+
+  util::PayloadWriter payload;
+  payload.pod<std::uint64_t>(f.dim);
+  payload.pod<std::uint64_t>(f.levels);
+  payload.pod<std::uint64_t>(3);  // seed
+  payload.pod<std::uint32_t>(static_cast<std::uint32_t>(Strategy::kBaseline));
+  payload.pod<std::uint64_t>(f.encoder_dim);
+  payload.pod<std::uint64_t>(f.feature_count);
+  payload.pod<std::uint64_t>(f.levels);
+  payload.pod<float>(f.range_lo);
+  payload.pod<float>(f.range_hi);
+  payload.pod<std::uint64_t>(3);  // encoder seed
+  payload.bytes(blob.data(), blob.size());
+
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  const std::string file = framed("LHDP", f.bundle_version, payload.str());
+  out.write(file.data(), static_cast<std::streamsize>(file.size()));
+  return path;
+}
+
+/// The load must fail as a std::runtime_error naming the file — never as
+/// the std::invalid_argument the encoder constructors raise, and never by
+/// first allocating what the header declares.
+void expect_rejected(const BundleFields& fields, const std::string& name) {
+  const std::string path = write_bundle(fields, name);
+  try {
+    (void)load_pipeline(path);
+    ADD_FAILURE() << name << " loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(PipelineBundle, HandFramedDefaultsLoad) {
+  const std::string path = write_bundle(BundleFields{}, "defaults.lhdp");
+  const Pipeline pipeline = load_pipeline(path);
+  EXPECT_EQ(pipeline.encoder().dim(), 128u);
+  EXPECT_EQ(pipeline.encoder().feature_count(), 4u);
+  std::remove(path.c_str());
+}
+
+TEST(PipelineBundle, V1BundleIsRejected) {
+  BundleFields fields;
+  fields.bundle_version = 1;
+  expect_rejected(fields, "v1.lhdp");
+}
+
+TEST(PipelineBundle, V1ClassifierBlobInsideV2BundleIsRejected) {
+  BundleFields fields;
+  fields.classifier_version = 1;
+  expect_rejected(fields, "v1_blob.lhdp");
+}
+
+TEST(PipelineBundle, RejectsZeroFeatures) {
+  BundleFields fields;
+  fields.feature_count = 0;
+  expect_rejected(fields, "zero_features.lhdp");
+}
+
+TEST(PipelineBundle, RejectsSingleLevel) {
+  BundleFields fields;
+  fields.levels = 1;
+  expect_rejected(fields, "one_level.lhdp");
+}
+
+TEST(PipelineBundle, RejectsMoreLevelsThanDimensions) {
+  BundleFields fields;
+  fields.levels = fields.dim + 1;
+  expect_rejected(fields, "levels_over_dim.lhdp");
+}
+
+TEST(PipelineBundle, RejectsEmptyOrNonFiniteValueRange) {
+  BundleFields fields;
+  fields.range_lo = 1.0f;
+  fields.range_hi = 1.0f;
+  expect_rejected(fields, "empty_range.lhdp");
+  fields.range_lo = 0.0f;
+  fields.range_hi = std::numeric_limits<float>::quiet_NaN();
+  expect_rejected(fields, "nan_range.lhdp");
+}
+
+TEST(PipelineBundle, RejectsEncoderDimensionMismatch) {
+  BundleFields fields;
+  fields.encoder_dim = 256;
+  expect_rejected(fields, "encoder_dim.lhdp");
+}
+
+TEST(PipelineBundle, RejectsClassifierDimensionMismatch) {
+  BundleFields fields;
+  fields.classifier_dim = 64;
+  expect_rejected(fields, "classifier_dim.lhdp");
+}
+
+TEST(PipelineBundle, RejectsOversizedItemMemories) {
+  // 2^30 features x 2 words: 16 GiB of position rows.
+  BundleFields fields;
+  fields.feature_count = std::uint64_t{1} << 30;
+  expect_rejected(fields, "huge_features.lhdp");
+  // A 2^40-bit dimension, declared consistently everywhere but the
+  // classifier blob, which the check must never get to.
+  fields = BundleFields{};
+  fields.dim = fields.encoder_dim = std::uint64_t{1} << 40;
+  expect_rejected(fields, "huge_dim.lhdp");
 }
 
 }  // namespace

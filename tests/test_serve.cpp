@@ -12,6 +12,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -19,6 +20,7 @@
 #include "data/synthetic.hpp"
 #include "serve/batcher.hpp"
 #include "serve/clock.hpp"
+#include "serve/framing.hpp"
 #include "serve/online.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
@@ -434,43 +436,68 @@ TEST(Protocol, RejectsOutOfRangeStatusByte) {
 
 // ------------------------------------------------------ tenancy: protocol --
 
-TEST(Protocol, V1FramesStillDecodeAndRouteToTheirTenantSlot) {
+/// `frame` with its magic swapped for a retired first-generation one; the
+/// payload stays well formed, so only the magic can be what rejects it.
+std::string with_magic(std::string frame, const char* magic) {
+  frame.replace(0, 4, magic, 4);
+  return frame;
+}
+
+TEST(Protocol, V1RequestFramesAreATypedErrorOnEveryReader) {
   serve::WireRequest request;
   request.id = 9;
   request.tenant = "acme";
   request.features = {1.0f, 2.0f};
-  request.version = 1;
+  const std::string v2 = serve::encode_request(request);
+  EXPECT_EQ(v2.substr(0, 4), "LSR2");
+  const std::string v1 = with_magic(v2, "LSRQ");
 
-  std::stringstream stream;
-  serve::write_request(stream, request);
-  EXPECT_EQ(stream.str().substr(0, 4), "LSRQ");  // v1 magic on the wire
-  serve::WireRequest decoded;
-  ASSERT_TRUE(serve::read_request(stream, &decoded, "test"));
-  EXPECT_EQ(decoded.version, 1);
-  EXPECT_EQ(decoded.tenant, "acme");
-  EXPECT_EQ(decoded.features, request.features);
+  std::stringstream blocking(v1);
+  serve::WireRequest out;
+  EXPECT_THROW((void)serve::read_request(blocking, &out, "test"),
+               std::runtime_error);
+  std::stringstream client(v1);
+  serve::ClientFrame frame;
+  EXPECT_THROW((void)serve::read_client_frame(client, &frame, "test"),
+               std::runtime_error);
+
+  serve::FrameDecoder decoder = serve::make_request_decoder("test");
+  decoder.feed(v1);
+  serve::FrameDecoder::Frame decoded;
+  EXPECT_THROW((void)decoder.next(&decoded), std::runtime_error);
+
+  // The payload decoder takes the frame's version and accepts only 2.
+  const std::string_view payload = std::string_view(v2).substr(8);
+  EXPECT_THROW((void)serve::decode_request_payload(payload, 1, "test"),
+               std::runtime_error);
+  EXPECT_EQ(serve::decode_request_payload(payload, 2, "test").tenant, "acme");
 }
 
-TEST(Protocol, V2ResponseEchoesTenantAndV1ResponseDropsIt) {
+TEST(Protocol, ResponseEchoesTenantAndV1ResponseFramesAreATypedError) {
   serve::Response response;
   response.id = 3;
   response.label = 2;
   response.tenant = "globex";
 
   std::stringstream v2;
-  serve::write_response(v2, response, 2);
+  serve::write_response(v2, response);
   EXPECT_EQ(v2.str().substr(0, 4), "LSS2");
   serve::Response from_v2;
   ASSERT_TRUE(serve::read_response(v2, &from_v2, "test"));
   EXPECT_EQ(from_v2.tenant, "globex");
 
-  std::stringstream v1;
-  serve::write_response(v1, response, 1);
-  EXPECT_EQ(v1.str().substr(0, 4), "LSRS");
-  serve::Response from_v1;
-  ASSERT_TRUE(serve::read_response(v1, &from_v1, "test"));
-  EXPECT_EQ(from_v1.label, 2);
-  EXPECT_TRUE(from_v1.tenant.empty());  // v1 clients never see the field
+  const std::string v1 = with_magic(serve::encode_response(response), "LSRS");
+  std::stringstream blocking(v1);
+  serve::Response out;
+  EXPECT_THROW((void)serve::read_response(blocking, &out, "test"),
+               std::runtime_error);
+  serve::FrameDecoder decoder = serve::make_response_decoder("test");
+  decoder.feed(v1);
+  serve::FrameDecoder::Frame decoded;
+  EXPECT_THROW((void)decoder.next(&decoded), std::runtime_error);
+  const std::string_view payload = std::string_view(v1).substr(8);
+  EXPECT_THROW((void)serve::decode_response_payload(payload, 1, "test"),
+               std::runtime_error);
 }
 
 TEST(Protocol, RejectsInvalidTenantIdsAndLyingTenantLengths) {
@@ -496,36 +523,33 @@ TEST(Protocol, DecodeFuzzTypedErrorsNeverCrashOrHang) {
   request.deadline_budget_us = 10;
   request.tenant = "acme";
   request.features = {0.25f, -1.0f, 8.5f};
-  for (const int version : {1, 2}) {
-    request.version = version;
-    const std::string frame = serve::encode_request(request);
-    // Every truncation point: either clean EOF (cut at a frame boundary,
-    // i.e. empty input) or a typed error — never a crash or silent junk.
-    for (std::size_t cut = 0; cut < frame.size(); ++cut) {
-      std::stringstream stream(frame.substr(0, cut));
-      serve::WireRequest out;
-      if (cut == 0) {
-        EXPECT_FALSE(serve::read_request(stream, &out, "fuzz"));
-      } else {
-        EXPECT_THROW((void)serve::read_request(stream, &out, "fuzz"),
-                     std::runtime_error);
-      }
+  const std::string frame = serve::encode_request(request);
+  // Every truncation point: either clean EOF (cut at a frame boundary,
+  // i.e. empty input) or a typed error — never a crash or silent junk.
+  for (std::size_t cut = 0; cut < frame.size(); ++cut) {
+    std::stringstream stream(frame.substr(0, cut));
+    serve::WireRequest out;
+    if (cut == 0) {
+      EXPECT_FALSE(serve::read_request(stream, &out, "fuzz"));
+    } else {
+      EXPECT_THROW((void)serve::read_request(stream, &out, "fuzz"),
+                   std::runtime_error);
     }
-    // Every single-byte corruption: decoding either succeeds (the flip
-    // landed in a don't-care bit like a feature value) or raises a typed
-    // std::runtime_error. Anything else — a crash, an std::bad_alloc from
-    // trusting a hostile length — fails the test.
-    for (std::size_t i = 0; i < frame.size(); ++i) {
-      for (const char flip : {'\x01', '\x7f', '\xff'}) {
-        std::string mutated = frame;
-        mutated[i] = static_cast<char>(mutated[i] ^ flip);
-        std::stringstream stream(mutated);
-        serve::WireRequest out;
-        try {
-          (void)serve::read_request(stream, &out, "fuzz");
-        } catch (const std::runtime_error&) {
-          // typed rejection: exactly what the contract promises
-        }
+  }
+  // Every single-byte corruption: decoding either succeeds (the flip
+  // landed in a don't-care bit like a feature value) or raises a typed
+  // std::runtime_error. Anything else — a crash, an std::bad_alloc from
+  // trusting a hostile length — fails the test.
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    for (const char flip : {'\x01', '\x7f', '\xff'}) {
+      std::string mutated = frame;
+      mutated[i] = static_cast<char>(mutated[i] ^ flip);
+      std::stringstream stream(mutated);
+      serve::WireRequest out;
+      try {
+        (void)serve::read_request(stream, &out, "fuzz");
+      } catch (const std::runtime_error&) {
+        // typed rejection: exactly what the contract promises
       }
     }
   }

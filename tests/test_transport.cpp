@@ -42,31 +42,51 @@ namespace {
 
 constexpr std::size_t kFeatures = 6;
 
-serve::WireRequest make_request(std::uint64_t id, int version,
+serve::WireRequest make_request(std::uint64_t id,
                                 const std::string& tenant = "acme",
                                 std::uint64_t budget_us = 0) {
   serve::WireRequest request;
   request.id = id;
-  request.version = version;
   request.tenant = tenant;
   request.deadline_budget_us = budget_us;
   request.features.assign(kFeatures, 0.25f * static_cast<float>(id % 4));
   return request;
 }
 
-/// A stream of mixed v1/v2 frames with varied tenants and budgets.
-std::string frame_stream(std::size_t count) {
+/// A stream of LSR2 request frames with varied tenants and budgets.
+std::string request_stream(std::size_t count) {
   std::string bytes;
   for (std::size_t i = 0; i < count; ++i) {
     bytes += serve::encode_request(make_request(
-        i + 1, static_cast<int>(i % 2) + 1, i % 3 == 0 ? "globex" : "acme",
-        i % 4 == 0 ? 0 : 1000 * i));
+        i + 1, i % 3 == 0 ? "globex" : "acme", i % 4 == 0 ? 0 : 1000 * i));
+  }
+  return bytes;
+}
+
+/// `count` frames of both request-stream kinds: LSR2 requests with an
+/// LSF2 feedback frame in every other slot, so the framing tests split
+/// streams that switch magic from frame to frame.
+std::string frame_stream(std::size_t count) {
+  std::string bytes;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::string tenant = i % 3 == 0 ? "globex" : "acme";
+    if (i % 2 == 1) {
+      serve::WireFeedback feedback;
+      feedback.id = i + 1;
+      feedback.tenant = tenant;
+      feedback.label = static_cast<std::int32_t>(i % 3);
+      bytes += serve::encode_feedback(feedback);
+    } else {
+      bytes += serve::encode_request(
+          make_request(i + 1, tenant, i % 4 == 0 ? 0 : 1000 * i));
+    }
   }
   return bytes;
 }
 
 /// Decodes `bytes` fed in `chunk`-sized pieces; returns each frame as
-/// "version:payload" so streams compare bit-exactly.
+/// "version:payload" (version tells LSR2 from LSF2) so streams compare
+/// bit-exactly.
 std::vector<std::string> decode_chunked(const std::string& bytes,
                                         std::size_t chunk) {
   serve::FrameDecoder decoder = serve::make_request_decoder("test");
@@ -88,6 +108,10 @@ TEST(Framing, ByteAtATimeMatchesOneShot) {
   const std::string bytes = frame_stream(13);
   const auto one_shot = decode_chunked(bytes, bytes.size());
   ASSERT_EQ(one_shot.size(), 13u);
+  EXPECT_EQ(one_shot[0].substr(0, 2),
+            std::to_string(serve::kWireVersion) + ":");
+  EXPECT_EQ(one_shot[1].substr(0, 2),
+            std::to_string(serve::kFeedbackFrameKind) + ":");
   EXPECT_EQ(decode_chunked(bytes, 1), one_shot);
 }
 
@@ -136,8 +160,11 @@ TEST(Framing, BytesNeededDrivesExactReads) {
 
 TEST(Framing, EncoderResumesShortWrites) {
   serve::FrameEncoder encoder;
-  const std::string a = serve::encode_request(make_request(1, 2));
-  const std::string b = serve::encode_request(make_request(2, 1));
+  const std::string a = serve::encode_request(make_request(1));
+  serve::WireFeedback feedback;
+  feedback.id = 1;
+  feedback.label = 2;
+  const std::string b = serve::encode_feedback(feedback);
   encoder.push(a);
   encoder.push(b);
   EXPECT_EQ(encoder.backlog_bytes(), a.size() + b.size());
@@ -239,7 +266,7 @@ TEST(FramingFuzz, CorruptCorpusIsTypedOrIncompleteAtEverySplit) {
       FuzzOutcome::kTypedError, FuzzOutcome::kIncomplete,
       FuzzOutcome::kIncomplete, FuzzOutcome::kTypedError,
   };
-  const serve::WireRequest request = make_request(42, 2);
+  const serve::WireRequest request = make_request(42);
   for (std::size_t kind = 0; kind < 8; ++kind) {
     const std::string bytes = corrupt_frame(request, kind);
     for (std::size_t chunk = 1; chunk <= bytes.size(); ++chunk) {
@@ -253,7 +280,7 @@ TEST(FramingFuzz, ValidFrameAfterGarbageNeverResyncs) {
   // A poisoned stream stays poisoned: after a bad magic the decoder
   // throws and the connection must drop — feeding more must not "work".
   serve::FrameDecoder decoder = serve::make_request_decoder("fuzz");
-  decoder.feed(corrupt_frame(make_request(1, 1), 0));
+  decoder.feed(corrupt_frame(make_request(1), 0));
   serve::FrameDecoder::Frame frame;
   EXPECT_THROW((void)decoder.next(&frame), std::runtime_error);
 }
@@ -331,7 +358,7 @@ TEST(Connection, InflightCapPausesDecodingWithoutLoss) {
   config.max_inflight = 2;
   serve::transport::Connection conn(1, *fx.server, config, 0);
 
-  ASSERT_TRUE(conn.on_bytes(frame_stream(7), 0));
+  ASSERT_TRUE(conn.on_bytes(request_stream(7), 0));
   // Cap reached: two submitted, the rest parked as buffered bytes.
   EXPECT_EQ(conn.inflight_count(), 2u);
   EXPECT_GT(conn.buffered_read_bytes(), 0u);
@@ -351,14 +378,14 @@ TEST(Connection, WriteBacklogCapShedsTyped) {
   config.write_backlog_max_bytes = 1;  // any pending response trips the cap
   serve::transport::Connection conn(1, *fx.server, config, 0);
 
-  ASSERT_TRUE(conn.on_bytes(serve::encode_request(make_request(1, 2)), 0));
+  ASSERT_TRUE(conn.on_bytes(serve::encode_request(make_request(1)), 0));
   fx.server->run_until_idle();
   conn.pump_responses(0);  // response #1 lands in the (now-full) backlog
   ASSERT_GE(conn.write_backlog_bytes(), config.write_backlog_max_bytes);
   // Requests 2-4 decode against a saturated backlog: typed sheds.
   std::string rest;
   for (std::uint64_t i = 2; i <= 4; ++i) {
-    rest += serve::encode_request(make_request(i, 2));
+    rest += serve::encode_request(make_request(i));
   }
   ASSERT_TRUE(conn.on_bytes(rest, 0));
 
@@ -385,7 +412,7 @@ TEST(Connection, EofDrainsThenDone) {
   ServerFixture fx;
   serve::transport::Connection conn(1, *fx.server,
                                     serve::transport::ConnectionConfig{}, 0);
-  ASSERT_TRUE(conn.on_bytes(frame_stream(2), 0));
+  ASSERT_TRUE(conn.on_bytes(request_stream(2), 0));
   conn.on_eof();
   EXPECT_FALSE(conn.done());  // still owes two responses
   const auto ids = drain(conn, fx);
@@ -412,7 +439,7 @@ TEST(Connection, IdleDeadlineTracksActivity) {
   EXPECT_EQ(conn.idle_deadline_us(), 6000u);
   EXPECT_FALSE(conn.idle_expired(5999));
   EXPECT_TRUE(conn.idle_expired(6000));
-  ASSERT_TRUE(conn.on_bytes(frame_stream(1), 5500));
+  ASSERT_TRUE(conn.on_bytes(request_stream(1), 5500));
   EXPECT_EQ(conn.idle_deadline_us(), 6500u);  // progress pushes it out
 }
 
@@ -431,11 +458,11 @@ TEST(Connection, FeedbackAcksKeepArrivalOrderAmongResponses) {
       1, *fx.server, serve::transport::ConnectionConfig{}, 0);
 
   // Serve requests 1..3 fully so their correlations are recorded.
-  ASSERT_TRUE(conn.on_bytes(frame_stream(3), 0));
+  ASSERT_TRUE(conn.on_bytes(request_stream(3), 0));
   ASSERT_EQ(drain(conn, fx).size(), 3u);
 
   // Now interleave: feedback for served id 2 (an "acme" frame in
-  // frame_stream), two fresh requests, then feedback for a never-served
+  // request_stream), two fresh requests, then feedback for a never-served
   // id.
   serve::WireFeedback good;
   good.id = 2;
@@ -446,8 +473,8 @@ TEST(Connection, FeedbackAcksKeepArrivalOrderAmongResponses) {
   unknown.tenant = "acme";
   unknown.label = 0;
   std::string bytes = serve::encode_feedback(good);
-  bytes += serve::encode_request(make_request(4, 2));
-  bytes += serve::encode_request(make_request(5, 2));
+  bytes += serve::encode_request(make_request(4));
+  bytes += serve::encode_request(make_request(5));
   bytes += serve::encode_feedback(unknown);
   ASSERT_TRUE(conn.on_bytes(bytes, 0));
 
@@ -486,7 +513,7 @@ TEST(Connection, FeedbackRacingItsOwnResponseIsUnknownCorrelation) {
   feedback.id = 2;
   feedback.tenant = "acme";
   feedback.label = 0;
-  std::string bytes = serve::encode_request(make_request(2, 2));
+  std::string bytes = serve::encode_request(make_request(2));
   bytes += serve::encode_feedback(feedback);
   ASSERT_TRUE(conn.on_bytes(bytes, 0));  // no dispatch yet
 
@@ -672,19 +699,18 @@ TEST(Socket, AcceptedUnixConnectionsSkipTcpOptions) {
 TEST(EventLoop, TcpAndUnixServeByteIdenticalStreams) {
   std::vector<serve::WireRequest> requests;
   for (std::uint64_t i = 1; i <= 12; ++i) {
-    requests.push_back(make_request(i, static_cast<int>(i % 2) + 1,
-                                    i % 3 == 0 ? "globex" : "acme"));
+    requests.push_back(make_request(i, i % 3 == 0 ? "globex" : "acme"));
   }
 
   // The reference stream: the same FakeClock conditions (zero latency,
-  // batch of one) submitted directly, encoded at each request's version.
+  // batch of one) submitted directly.
   ServerFixture reference;
   std::string expected;
   for (const serve::WireRequest& request : requests) {
     auto future = reference.server->submit(request.features, 0,
                                            request.tenant, request.id);
     reference.server->run_until_idle();
-    expected += serve::encode_response(future.get(), request.version);
+    expected += serve::encode_response(future.get());
   }
 
   const auto serve_over = [&](bool tcp) {
@@ -730,7 +756,7 @@ TEST(EventLoop, PipelinedBurstKeepsOrderPerConnection) {
   std::string burst;
   constexpr std::size_t kCount = 64;
   for (std::uint64_t i = 1; i <= kCount; ++i) {
-    burst += serve::encode_request(make_request(i, 2));
+    burst += serve::encode_request(make_request(i));
   }
   pump_write(client, burst, loop);
   // The batcher's flush window needs virtual time to pass for partial
@@ -798,10 +824,10 @@ TEST(EventLoop, MalformedClientIsDroppedOthersSurvive) {
 
   const int good = serve::transport::connect_tcp("127.0.0.1", port, true);
   const int evil = serve::transport::connect_tcp("127.0.0.1", port, true);
-  pump_write(evil, corrupt_frame(make_request(9, 1), 0), loop);
+  pump_write(evil, corrupt_frame(make_request(9), 0), loop);
 
   // The poisoned connection dies; the well-behaved one still serves.
-  std::vector<serve::WireRequest> one = {make_request(1, 2)};
+  std::vector<serve::WireRequest> one = {make_request(1)};
   const std::string bytes = round_trip(good, one, loop);
   EXPECT_FALSE(bytes.empty());
   int spins = 0;

@@ -21,11 +21,11 @@
 //
 // Multi-tenant serving: --models "acme=a.lhdp,globex=b.lhdp" binds one
 // model per tenant (the first listed becomes the default tenant);
-// genframes/client stamp frames with --tenant and --wire-version, and
-// responses echo each request's protocol generation. genframes --corrupt N
-// appends N malformed frames (bad magic, truncation, oversized length,
-// lying feature counts, bad tenant lengths, mid-header cuts, interleaved
-// garbage) for decode-hardening tests.
+// genframes/client stamp frames with --tenant, and every response echoes
+// the tenant it was routed to. genframes --corrupt N appends N malformed
+// frames (bad magic, truncation, oversized length, lying feature counts,
+// bad tenant lengths, mid-header cuts, interleaved garbage) for
+// decode-hardening tests.
 //
 // Online learning: --online attaches the feedback sidecar (shadow
 // learner + blue-green flips, serve/online.hpp) to every tenant;
@@ -54,6 +54,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
+#include "serve/framing.hpp"
 #include "serve/online.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -246,7 +247,6 @@ void write_metrics(const util::FlagParser& flags, const std::string& mode) {
 struct PipeEntry {
   bool is_feedback = false;
   std::future<serve::Response> future;
-  int version = 2;
   serve::WireFeedback feedback;
 };
 
@@ -304,7 +304,6 @@ int cmd_pipe(util::FlagParser& flags) {
           entry.is_feedback = true;
           entry.feedback = std::move(frame.feedback);
         } else {
-          entry.version = frame.request.version;
           entry.future = submit_wire(server, std::move(frame.request));
         }
         inflight.push_back(std::move(entry));
@@ -326,13 +325,11 @@ int cmd_pipe(util::FlagParser& flags) {
                         : sidecar->offer_feedback(ack.tenant,
                                                   entry.feedback.id,
                                                   entry.feedback.label);
-        serve::write_response(*out, ack, 2);
+        serve::write_response(*out, ack);
         ++served;
         continue;
       }
-      // Echo each response at its request's protocol generation: a v1
-      // client never sees v2 bytes.
-      serve::write_response(*out, entry.future.get(), entry.version);
+      serve::write_response(*out, entry.future.get());
       ++served;
     }
     // Apply this window's accepted feedback (and any resulting flip)
@@ -502,23 +499,21 @@ int cmd_client(util::FlagParser& flags) {
   }
   const auto feedback_every =
       static_cast<std::size_t>(flags.get_int("feedback-every"));
+  // The shared framing state machine validates magic and length at the
+  // header, before any payload-sized buffer exists; exact-sized reads
+  // (bytes_needed()) keep the socket at the next frame boundary.
+  serve::FrameDecoder decoder = serve::make_response_decoder("socket");
   const auto read_one_response = [&](const char* what) {
-    char header[8];
-    if (!read_exact(fd, header, sizeof(header))) {
-      throw std::runtime_error("server closed connection");
+    serve::FrameDecoder::Frame frame;
+    while (!decoder.next(&frame)) {
+      std::string chunk(decoder.bytes_needed(), '\0');
+      if (!read_exact(fd, chunk.data(), chunk.size())) {
+        throw std::runtime_error("server closed connection");
+      }
+      decoder.feed(chunk);
     }
-    const int version =
-        std::memcmp(header, serve::kResponseMagicV2, 4) == 0 ? 2 : 1;
-    if (version == 1 &&
-        std::memcmp(header, serve::kResponseMagic, 4) != 0) {
-      throw std::runtime_error("bad response magic on socket");
-    }
-    std::uint32_t size = 0;
-    std::memcpy(&size, header + 4, sizeof(size));
-    std::string payload(size, '\0');
-    read_exact(fd, payload.data(), size);
-    const serve::Response response =
-        serve::decode_response_payload(payload, version, "socket");
+    const serve::Response response = serve::decode_response_payload(
+        frame.payload, frame.version, "socket");
     std::printf("%s %llu %d %s %s\n", what,
                 static_cast<unsigned long long>(response.id), response.label,
                 serve::reject_name(response.error),
@@ -530,7 +525,6 @@ int cmd_client(util::FlagParser& flags) {
     request.deadline_budget_us =
         static_cast<std::uint64_t>(flags.get_int("deadline-us"));
     request.tenant = flags.get_string("tenant");
-    request.version = flags.get_int("wire-version");
     const auto features = dataset.sample(i);
     request.features.assign(features.begin(), features.end());
     write_all(fd, serve::encode_request(request));
@@ -639,7 +633,6 @@ int cmd_genframes(util::FlagParser& flags) {
     request.deadline_budget_us =
         static_cast<std::uint64_t>(flags.get_int("deadline-us"));
     request.tenant = flags.get_string("tenant");
-    request.version = flags.get_int("wire-version");
     const auto features = dataset.sample(i);
     request.features.assign(features.begin(), features.end());
     serve::write_request(out, request);
@@ -711,7 +704,7 @@ void print_usage() {
       "            ('-' = stdin/stdout; same binary frame protocol)\n"
       "            [--online --flip-every N --shadow-dir DIR]\n"
       "  genframes --data <spec> --count N --out requests.bin\n"
-      "            [--tenant id] [--wire-version 1|2] [--corrupt N]\n"
+      "            [--tenant id] [--corrupt N]\n"
       "            [--feedback-every K] (true-label LSF2 frames)\n"
       "  decode    --in responses.bin [--expect-ok N]\n"
       "  client    --socket /tmp/lehdc.sock --data <spec> --count N\n"
@@ -763,8 +756,6 @@ int main(int argc, char** argv) {
   flags.add_string("tenant", "",
                    "tenant id stamped into generated frames "
                    "(empty = server default)");
-  flags.add_int("wire-version", 2,
-                "protocol generation for generated frames (1 or 2)");
   flags.add_int("corrupt", 0,
                 "genframes: append N malformed frames after the valid ones");
   flags.add_int("tenant-capacity", 0,
